@@ -4,7 +4,7 @@
 # it `pytest | tee` reports tee's exit status and swallows test failures.
 SHELL := /bin/bash
 
-.PHONY: install test test-parallel test-equivalence test-differential test-mqo coverage bench bench-check bench-tables report examples trace-smoke chaos-smoke analyze-smoke cluster-smoke clean
+.PHONY: install test test-parallel test-equivalence test-differential test-mqo coverage bench bench-check bench-tables report examples trace-smoke chaos-smoke analyze-smoke cluster-smoke perfbench-smoke clean
 
 # Line-coverage floor enforced by `make coverage` (and CI).
 COVERAGE_FLOOR := 80
@@ -135,6 +135,21 @@ analyze-smoke:
 cluster-smoke:
 	PYTHONPATH=src python -m repro.cli cluster --dataset cora --scale 0.15 \
 		--queries 40 --shards 1 2 --verify
+
+# Wall-clock benchmark smoke: one short untraced run of every perfbench
+# workload.  Fails unless each run's last stdout line reports
+# "correct": true, i.e. the resume replay, record digests and
+# serial-equivalence checks all held.
+PERFBENCH_WORKLOADS := joint-cora joint-pubmed-dag serve-cora-overload boost-cora-durable
+
+perfbench-smoke:
+	mkdir -p .smoke
+	@for workload in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench-smoke: $$workload"; \
+		python3 perfbench/run.py --workload $$workload --seed 0 --seconds 1 --trace 0 \
+			> .smoke/perfbench-$$workload.json || exit 1; \
+		tail -n 1 .smoke/perfbench-$$workload.json | grep -q '"correct": true' || exit 1; \
+	done
 
 examples:
 	python examples/quickstart.py

@@ -19,6 +19,12 @@ crash-safe end to end:
 * each flush rotates the previous checkpoint to a ``.bak`` sibling, and
   :class:`RunCheckpointer` automatically recovers from it when the main
   file is corrupt or lost — resuming from the last verified-good state.
+
+A flush encodes only the records appended since the previous one: each
+record's JSON fragment and CRC are computed once and cached on its
+:class:`CheckpointState`, and the document is assembled from those
+fragments.  Every flush still rewrites and fsyncs the whole file, so
+``flush_every`` still trades crash loss for fewer writes.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import csv
 import json
 import os
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -67,20 +73,32 @@ class CheckpointCorruptionError(ValueError):
     """
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(QueryRecord))
+
+
+def record_fields(record: QueryRecord) -> dict:
+    """``record``'s fields by name, in declaration order (its JSON payload).
+
+    Equal to ``dataclasses.asdict(record)`` without the deep copy:
+    :class:`QueryRecord` holds only scalars.
+    """
+    return {name: getattr(record, name) for name in _RECORD_FIELDS}
+
+
 def _record_crc(record: dict) -> int:
     """CRC32 of one record's canonical JSON (sorted keys, no whitespace)."""
     blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return zlib.crc32(blob.encode("utf-8"))
 
 
-def _manifest_crc(payload: dict) -> int:
+def _manifest_crc(completed, pseudo_labels, record_crcs, num_records: int) -> int:
     """Checksum binding the record CRCs to the rest of the state."""
     blob = json.dumps(
         {
-            "completed": payload.get("completed"),
-            "pseudo_labels": payload.get("pseudo_labels"),
-            "record_crcs": payload.get("record_crcs"),
-            "num_records": len(payload.get("records", [])),
+            "completed": completed,
+            "pseudo_labels": pseudo_labels,
+            "record_crcs": record_crcs,
+            "num_records": num_records,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -105,7 +123,9 @@ def _verify_payload(payload: dict, path: Path) -> None:
                 f"(stored {expected}, computed {actual}) — corrupted on disk"
             )
     expected = payload.get("manifest_crc")
-    actual = _manifest_crc(payload)
+    actual = _manifest_crc(
+        payload.get("completed"), payload.get("pseudo_labels"), crcs, len(records)
+    )
     if expected != actual:
         raise CheckpointCorruptionError(
             f"{path}: manifest checksum mismatch (stored {expected}, "
@@ -146,13 +166,14 @@ def _decode_records(payload: dict, path: Path) -> list[QueryRecord]:
 
 def save_run(result: RunResult, path: str | Path) -> Path:
     """Write ``result`` as checksummed JSON at ``path`` (atomic + durable)."""
-    records = [asdict(r) for r in result.records]
+    records = [record_fields(r) for r in result.records]
+    crcs = [_record_crc(r) for r in records]
     payload = {
         "format_version": _FORMAT_VERSION,
         "records": records,
-        "record_crcs": [_record_crc(r) for r in records],
+        "record_crcs": crcs,
+        "manifest_crc": _manifest_crc(None, None, crcs, len(records)),
     }
-    payload["manifest_crc"] = _manifest_crc(payload)
     return atomic_write_text(path, json.dumps(payload))
 
 
@@ -171,7 +192,7 @@ def run_to_rows(result: RunResult) -> list[dict[str, object]]:
     """Flatten a run into per-query dict rows (for dataframes/CSV)."""
     rows = []
     for record in result.records:
-        row = asdict(record)
+        row = record_fields(record)
         row["correct"] = record.correct
         row["total_tokens"] = record.total_tokens
         rows.append(row)
@@ -195,6 +216,35 @@ def write_csv(result: RunResult, path: str | Path) -> Path:
 
 
 @dataclass
+class _EncodedRecords:
+    """Each checkpointed record's payload JSON fragment and CRC, encoded once.
+
+    ``records`` holds the records the cache was built from; :meth:`sync`
+    keeps the longest prefix still identical (``is``) to the state's list,
+    so replacing or truncating ``CheckpointState.records`` re-encodes only
+    from the first changed position.
+    """
+
+    records: list[QueryRecord] = field(default_factory=list)
+    fragments: list[str] = field(default_factory=list)
+    crcs: list[int] = field(default_factory=list)
+
+    def sync(self, records: list[QueryRecord]) -> None:
+        keep = 0
+        for cached, record in zip(self.records, records):
+            if cached is not record:
+                break
+            keep += 1
+        del self.records[keep:], self.fragments[keep:], self.crcs[keep:]
+        for record in records[keep:]:
+            payload = record_fields(record)
+            fragment, crc = json.dumps(payload), _record_crc(payload)
+            self.records.append(record)
+            self.fragments.append(fragment)
+            self.crcs.append(crc)
+
+
+@dataclass
 class CheckpointState:
     """Persisted progress of one (possibly interrupted) run.
 
@@ -209,6 +259,9 @@ class CheckpointState:
     records: list[QueryRecord] = field(default_factory=list)
     pseudo_labels: dict[int, int] = field(default_factory=dict)
     completed: bool = False
+    _encoded: _EncodedRecords = field(
+        default_factory=_EncodedRecords, init=False, compare=False, repr=False
+    )
 
     @property
     def executed(self) -> dict[int, QueryRecord]:
@@ -221,19 +274,29 @@ def backup_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".bak")
 
 
-def checkpoint_payload(state: CheckpointState) -> dict:
-    """Build the current-version JSON payload (with checksums) for ``state``."""
-    records = [asdict(r) for r in state.records]
-    payload = {
-        "format_version": _FORMAT_VERSION,
-        "kind": "checkpoint",
-        "completed": state.completed,
-        "pseudo_labels": {str(node): int(label) for node, label in state.pseudo_labels.items()},
-        "records": records,
-        "record_crcs": [_record_crc(r) for r in records],
-    }
-    payload["manifest_crc"] = _manifest_crc(payload)
-    return payload
+def _checkpoint_text(state: CheckpointState) -> str:
+    """The current-version JSON document (with checksums) for ``state``.
+
+    Assembled from the per-record fragments cached on ``state``, so only
+    records new since the previous call are encoded; the text equals
+    ``json.dumps`` of the full payload dict.
+    """
+    encoded = state._encoded
+    encoded.sync(state.records)
+    pseudo = {str(node): int(label) for node, label in state.pseudo_labels.items()}
+    head = json.dumps(
+        {
+            "format_version": _FORMAT_VERSION,
+            "kind": "checkpoint",
+            "completed": state.completed,
+            "pseudo_labels": pseudo,
+        }
+    )
+    manifest = _manifest_crc(state.completed, pseudo, encoded.crcs, len(encoded.crcs))
+    return (
+        f'{head[:-1]}, "records": [{", ".join(encoded.fragments)}], '
+        f'"record_crcs": {json.dumps(encoded.crcs)}, "manifest_crc": {manifest}}}'
+    )
 
 
 def save_checkpoint(
@@ -260,7 +323,7 @@ def save_checkpoint(
             before_replace(tmp)
 
     return atomic_write_text(
-        path, json.dumps(checkpoint_payload(state)), before_replace=rotate_then_hook
+        path, _checkpoint_text(state), before_replace=rotate_then_hook
     )
 
 
@@ -303,7 +366,9 @@ class RunCheckpointer:
     flush_every:
         Persist after every N appended records.  ``1`` (the default) never
         loses an executed query to a crash; larger values trade crash
-        re-query cost for fewer writes on large runs.
+        re-query cost for fewer writes on large runs.  A flush encodes only
+        the records appended since the previous flush, but still rewrites
+        and fsyncs the whole file.
     observer:
         Optional run observer; resume loads report ``on_checkpoint_loaded``,
         every file write ``on_checkpoint_flush``, and backup-based recovery
@@ -340,6 +405,7 @@ class RunCheckpointer:
         self._pending = 0
         self.state, self.recovered_from_backup = self._load_or_recover()
         self.resumed_records = len(self.state.records)
+        self._nodes = {record.node for record in self.state.records}
         if observer is not None and self.resumed_records:
             observer.on_checkpoint_loaded(self.resumed_records, self.state.completed)
 
@@ -391,8 +457,9 @@ class RunCheckpointer:
 
     def append(self, record: QueryRecord) -> None:
         """Persist one freshly executed record (subject to ``flush_every``)."""
-        if record.node in self.state.executed:
+        if record.node in self._nodes:
             raise ValueError(f"node {record.node} is already checkpointed")
+        self._nodes.add(record.node)
         self.state.records.append(record)
         self._pending += 1
         if self._pending >= self.flush_every:

@@ -185,10 +185,9 @@ class MultiQueryEngine:
 
     def select_neighbors(self, node: int) -> list[SelectedNeighbor]:
         """Run the selector for ``node`` against the current label state."""
+        node = int(node)
         rng = spawn_rng(self.seed, "neighbor-sample", node)
-        return self.selector.select(
-            self.graph, int(node), self._labels, self.max_neighbors, rng
-        )
+        return self.selector.select(self.graph, node, self._labels, self.max_neighbors, rng)
 
     def _entries(self, selected: list[SelectedNeighbor]) -> list[NeighborEntry]:
         entries = []

@@ -39,6 +39,18 @@ class TestSelection:
         node = int(tiny_split.queries[0])
         assert engine.select_neighbors(node) == engine.select_neighbors(node)
 
+    def test_sampling_ignores_the_node_integer_type(self, make_tiny_engine, tiny_graph, tiny_split):
+        # Nodes often arrive as numpy integers (split arrays); the neighbor
+        # sample must be seeded from the node id, not from its repr.
+        engine = make_tiny_engine(max_neighbors=2)
+        sampled = [int(q) for q in tiny_split.queries if tiny_graph.degree(int(q)) > 2]
+        assert sampled, "fixture graph should have queries with more neighbors than the cap"
+        for node in sampled:
+            wide = np.int64(node)
+            assert engine.select_neighbors(wide) == engine.select_neighbors(node)
+            assert engine.build_prompt(wide) == engine.build_prompt(node)
+            assert engine.preview_prompt(wide) == engine.preview_prompt(node)
+
     def test_selection_refreshes_with_labels(self, make_tiny_engine, tiny_graph, tiny_split):
         engine = make_tiny_engine(method="1-hop")
         # Find a query with an unlabeled neighbor that is also a query node.

@@ -179,6 +179,9 @@ class TestCheckpointPersistence:
         ck.append(record)
         with pytest.raises(ValueError, match="already checkpointed"):
             ck.append(record)
+        # A resumed checkpointer rejects the nodes it loaded, too.
+        with pytest.raises(ValueError, match="already checkpointed"):
+            RunCheckpointer(tmp_path / "ck.json").append(record)
 
     def test_flush_every_batches_writes(self, tmp_path):
         path = tmp_path / "ck.json"
