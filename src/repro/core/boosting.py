@@ -20,13 +20,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.llm.reliability import TransientLLMError
 from repro.runtime.results import RunResult
-from repro.runtime.scheduler import WorkItem
+from repro.runtime.scheduler import WorkItem, run_items
 
 if TYPE_CHECKING:  # engines are passed in at run time
     from repro.io.runs import RunCheckpointer
     from repro.runtime.engine import MultiQueryEngine
+    from repro.selection.base import SelectedNeighbor
 
 
 @dataclass
@@ -90,13 +90,17 @@ class QueryBoostingStrategy:
         self.min_pseudo_confidence = min_pseudo_confidence
         self.max_deferrals = max_deferrals
 
-    def _neighbor_label_stats(
-        self, engine: "MultiQueryEngine", node: int
-    ) -> tuple[int, int]:
-        """(|N_i^L|, LC_i) against the engine's current label state."""
-        selected = engine.select_neighbors(node)
+    def _qualifying_count(
+        self, selected: "list[SelectedNeighbor]", gamma1: int, gamma2: int
+    ) -> int | None:
+        """``|N_i^L|`` of a neighbor selection that meets the candidate
+        criterion ``|N_i^L| >= γ1 and LC_i <= γ2``; ``None`` when it fails."""
         labels = [sn.label for sn in selected if sn.label is not None]
-        return len(labels), len(set(labels))
+        if len(labels) >= gamma1 and (
+            not self.use_conflict_threshold or len(set(labels)) <= gamma2
+        ):
+            return len(labels)
+        return None
 
     def _candidates(
         self,
@@ -108,8 +112,8 @@ class QueryBoostingStrategy:
         """Qualifying (node, label_count) pairs under the given thresholds."""
         out = []
         for node in unexecuted:
-            count, conflicts = self._neighbor_label_stats(engine, node)
-            if count >= gamma1 and (not self.use_conflict_threshold or conflicts <= gamma2):
+            count = self._qualifying_count(engine.select_neighbors(node), gamma1, gamma2)
+            if count is not None:
                 out.append((node, count))
         return out
 
@@ -143,12 +147,16 @@ class QueryBoostingStrategy:
         """
         if record.outcome in ("degraded_surrogate", "abstained"):
             return False
-        if record.predicted_label is None:
+        return self._publishable_answer(record.predicted_label, record.confidence)
+
+    def _publishable_answer(self, predicted: int | None, confidence: float | None) -> bool:
+        """Whether an LLM answer's parsed label and confidence may propagate."""
+        if predicted is None:
             return False
         if (
             self.min_pseudo_confidence is not None
-            and record.confidence is not None
-            and record.confidence < self.min_pseudo_confidence
+            and confidence is not None
+            and confidence < self.min_pseudo_confidence
         ):
             return False  # too uncertain to propagate (extension)
         return True
@@ -253,6 +261,55 @@ class BoostingStepper:
         """True when every query has a record (no further rounds needed)."""
         return not self.unexecuted
 
+    def select_candidates(self) -> tuple[list[tuple[int, int]], bool]:
+        """Step 1: the round's candidates, relaxing γ1/γ2 while none qualify.
+
+        Returns the ``(node, |N_i^L|)`` pairs richest-labeled first (ties by
+        node id) and whether γ-relaxation admitted them.
+        """
+        strategy = self.strategy
+        engine = self.engine
+        candidates = strategy._candidates(engine, self.unexecuted, self.gamma1, self.gamma2)
+        relaxed = False
+        while not candidates:
+            relaxed = True
+            if self.gamma1 > 0:
+                self.gamma1 -= 1
+            elif strategy.use_conflict_threshold and self.gamma2 < engine.graph.num_classes:
+                self.gamma2 += 1
+            else:
+                # Criterion is now vacuous; everything qualifies.
+                candidates = [(node, 0) for node in self.unexecuted]
+                break
+            candidates = strategy._candidates(engine, self.unexecuted, self.gamma1, self.gamma2)
+        candidates.sort(key=lambda pair: (-pair[1], pair[0]))
+        return candidates, relaxed
+
+    def can_defer(self, node: int) -> bool:
+        """Whether a failed call of ``node`` may still re-enqueue it."""
+        return self.deferrals.get(node, 0) < self.strategy.max_deferrals
+
+    def work_item(
+        self, node: int, round_index: int, reads: frozenset[int] | None = None
+    ) -> WorkItem:
+        """The canonical work item of one round member."""
+        checkpointer = self.checkpointer
+        return WorkItem(
+            node=node,
+            include_neighbors=node not in self.pruned,
+            round_index=round_index,
+            on_failure="raise" if self.can_defer(node) else None,
+            cached=self.cached.get(node),
+            on_defer=lambda: self._note_deferral(node),
+            after_execute=checkpointer.append if checkpointer is not None else None,
+            reads=reads,
+        )
+
+    def _note_deferral(self, node: int) -> None:
+        self.deferrals[node] = self.deferrals.get(node, 0) + 1
+        if self.engine.observer is not None:
+            self.engine.observer.on_deferral(node, self.deferrals[node])
+
     def step(self) -> list:
         """Run one boosting round: select, execute, publish.
 
@@ -265,106 +322,40 @@ class BoostingStepper:
             raise RuntimeError("step() called on a finished stepper")
         strategy = self.strategy
         engine = self.engine
-        observer = engine.observer
-        num_classes = engine.graph.num_classes
-
-        # Step 1: candidate selection, relaxing thresholds when empty.
-        candidates = strategy._candidates(
-            engine, self.unexecuted, self.gamma1, self.gamma2
-        )
-        relaxed = False  # did γ-relaxation admit this round's members?
-        while not candidates:
-            relaxed = True
-            if self.gamma1 > 0:
-                self.gamma1 -= 1
-            elif strategy.use_conflict_threshold and self.gamma2 < num_classes:
-                self.gamma2 += 1
-            else:
-                # Criterion is now vacuous; everything qualifies.
-                candidates = [(node, 0) for node in self.unexecuted]
-                break
-            candidates = strategy._candidates(
-                engine, self.unexecuted, self.gamma1, self.gamma2
+        candidates, relaxed = self.select_candidates()
+        round_index = len(self.rounds)
+        # Step 2: execute the candidate set as one dependency-free wave:
+        # pseudo-labels publish only after Step 3, so candidates may
+        # dispatch batched/overlapped without changing any prompt.
+        dag = getattr(engine.scheduler, "dispatch", "wave") == "dag"
+        items = [
+            self.work_item(
+                node,
+                round_index,
+                reads=(
+                    strategy._label_reads(engine, node, relaxed, self.deferrals)
+                    if dag
+                    else None
+                ),
             )
+            for node, _ in candidates
+        ]
+        with engine.span("round", round_index=round_index, candidates=len(candidates)):
+            round_records, round_deferred = run_items(engine, items)
+        self.publish_round(round_records, round_deferred)
+        return round_records
 
-        # Step 2: execute the candidate set (issued together, as one
-        # LLM batch — richest-labeled first for readability of traces).
-        candidates.sort(key=lambda pair: (-pair[1], pair[0]))
-        round_records = []
-        round_deferred = 0
-        deferrals = self.deferrals
-        cached = self.cached
+    def publish_round(self, round_records: list, round_deferred: int) -> None:
+        """Step 3 and bookkeeping: publish the round's pseudo-labels, retire
+        its executed queries and close the round.
+
+        Pseudo-labels publish after the whole round, exactly as Algorithm 2
+        separates its query and label-update steps.
+        """
+        strategy = self.strategy
+        engine = self.engine
         checkpointer = self.checkpointer
-
-        def note_deferral(node: int) -> int:
-            deferrals[node] = deferrals.get(node, 0) + 1
-            if observer is not None:
-                observer.on_deferral(node, deferrals[node])
-            return deferrals[node]
-
-        with engine.span(
-            "round", round_index=len(self.rounds), candidates=len(candidates)
-        ):
-            if engine.scheduler is not None:
-                # Each round is one dependency-free wave: pseudo-labels
-                # publish only after Step 3, so candidates may dispatch
-                # batched/overlapped without changing any prompt.
-                items = [
-                    WorkItem(
-                        node=node,
-                        include_neighbors=node not in self.pruned,
-                        round_index=len(self.rounds),
-                        on_failure=(
-                            "raise"
-                            if deferrals.get(node, 0) < strategy.max_deferrals
-                            else None
-                        ),
-                        cached=cached.get(node),
-                        on_defer=lambda node=node: note_deferral(node),
-                        after_execute=(
-                            checkpointer.append if checkpointer is not None else None
-                        ),
-                        reads=(
-                            strategy._label_reads(engine, node, relaxed, deferrals)
-                            if getattr(engine.scheduler, "dispatch", "wave") == "dag"
-                            else None
-                        ),
-                    )
-                    for node, _ in candidates
-                ]
-                outcome = engine.scheduler.run_wave(engine, items)
-                round_records = outcome.records
-                round_deferred = len(outcome.deferred)
-                for record in round_records:
-                    self.result.add(record)
-            else:
-                for node, _ in candidates:
-                    cached_record = cached.get(node)
-                    if cached_record is not None:
-                        engine.observe_replay(cached_record)
-                        round_records.append(cached_record)
-                        self.result.add(cached_record)
-                        continue
-                    can_defer = deferrals.get(node, 0) < strategy.max_deferrals
-                    try:
-                        record = engine.execute_query(
-                            node,
-                            include_neighbors=node not in self.pruned,
-                            round_index=len(self.rounds),
-                            on_failure="raise" if can_defer else None,
-                        )
-                    except TransientLLMError:
-                        if not can_defer:
-                            raise  # deferrals exhausted, no ladder to absorb this
-                        note_deferral(node)
-                        round_deferred += 1
-                        continue  # re-enqueued: still in unexecuted for later rounds
-                    round_records.append(record)
-                    self.result.add(record)
-                    if checkpointer is not None:
-                        checkpointer.append(record)
-        # Step 3: pseudo-labels publish after the whole round, exactly
-        # as Algorithm 2 separates its query and label-update steps.
+        self.result.extend(round_records)
         self.published_this_round = {}
         for record in round_records:
             if not strategy._publishable(record):
@@ -377,10 +368,11 @@ class BoostingStepper:
         executed = {r.node for r in round_records}
         self.unexecuted = [v for v in self.unexecuted if v not in executed]
         if round_records:
-            if observer is not None:
-                observer.on_round_end(len(self.rounds), len(round_records), round_deferred)
+            if engine.observer is not None:
+                engine.observer.on_round_end(
+                    len(self.rounds), len(round_records), round_deferred
+                )
             self.rounds.append([r.node for r in round_records])
-        return round_records
 
     def finish(self) -> BoostingResult:
         """Seal the run: mark the checkpoint complete, return the result."""

@@ -30,7 +30,7 @@ from repro.prompts.builder import NeighborEntry, PromptBuilder
 from repro.runtime.fallback import DegradationLadder
 from repro.runtime.results import QueryRecord, RunResult
 from repro.runtime.router import CascadeRouter
-from repro.runtime.scheduler import QueryScheduler, WorkItem
+from repro.runtime.scheduler import QueryScheduler, WorkItem, run_items
 from repro.selection.base import NeighborSelector, SelectedNeighbor
 from repro.utils.rng import spawn_rng
 
@@ -185,9 +185,18 @@ class MultiQueryEngine:
 
     def select_neighbors(self, node: int) -> list[SelectedNeighbor]:
         """Run the selector for ``node`` against the current label state."""
+        return self._select_under(node, self._labels)
+
+    def _select_under(self, node: int, labels: "Mapping[int, int]") -> list[SelectedNeighbor]:
+        """Run the selector for ``node`` against the label view ``labels``.
+
+        The per-node sample seed is derived here and only here, so every
+        selection of a node — canonical or a planner's partial view — draws
+        the same random neighbors.
+        """
         node = int(node)
         rng = spawn_rng(self.seed, "neighbor-sample", node)
-        return self.selector.select(self.graph, node, self._labels, self.max_neighbors, rng)
+        return self.selector.select(self.graph, node, labels, self.max_neighbors, rng)
 
     def _entries(self, selected: list[SelectedNeighbor]) -> list[NeighborEntry]:
         entries = []
@@ -238,10 +247,7 @@ class MultiQueryEngine:
         gate — can cost a query byte-exactly without executing it and
         without emitting any observer spans.
         """
-        prompt, _ = self.build_prompt(node, include_neighbors=include_neighbors)
-        if compress and include_neighbors and self.compressor is not None:
-            prompt, _ = self._compress_prompt(prompt)
-        return prompt
+        return self.prepare_prompt(node, include_neighbors, compress)[0]
 
     # -------------------------------------------------------------- execution
 
@@ -342,31 +348,24 @@ class MultiQueryEngine:
                 return self._record_from_response(
                     node, response, [], True, round_index, "degraded_pruned"
                 )
+        return self._zero_token_record(node, round_index)
+
+    def _zero_token_record(self, node: int, round_index: int | None) -> QueryRecord:
+        """The ladder's zero-token tail: the surrogate, else an abstention."""
         if self.ladder.surrogate is not None:
             # Tier 2: the surrogate MLP behind D(t_i), at zero token cost.
             with self.span("degrade_surrogate", node=node):
                 label, confidence = self.ladder.surrogate_prediction(node)
-            return QueryRecord(
-                node=node,
-                true_label=int(self.graph.labels[node]),
-                predicted_label=label,
-                prompt_tokens=0,
-                completion_tokens=0,
-                num_neighbors=0,
-                num_neighbor_labels=0,
-                num_pseudo_labels=0,
-                pruned=True,
-                round_index=round_index,
-                confidence=confidence,
-                outcome="degraded_surrogate",
-            )
-        # Tier 3: an explicit abstention beats an aborted run.
-        with self.span("abstain", node=node):
-            pass
+            outcome = "degraded_surrogate"
+        else:
+            # Tier 3: an explicit abstention beats an aborted run.
+            with self.span("abstain", node=node):
+                label, confidence = None, None
+            outcome = "abstained"
         return QueryRecord(
             node=node,
             true_label=int(self.graph.labels[node]),
-            predicted_label=None,
+            predicted_label=label,
             prompt_tokens=0,
             completion_tokens=0,
             num_neighbors=0,
@@ -374,8 +373,8 @@ class MultiQueryEngine:
             num_pseudo_labels=0,
             pruned=True,
             round_index=round_index,
-            confidence=None,
-            outcome="abstained",
+            confidence=confidence,
+            outcome=outcome,
         )
 
     def execute_query(
@@ -405,11 +404,24 @@ class MultiQueryEngine:
         mode = on_failure or ("degrade" if self.ladder is not None else "raise")
         if mode == "degrade" and self.ladder is None:
             raise ValueError("on_failure='degrade' requires an engine degradation ladder")
+        return self._query_lifecycle(
+            lambda: self._execute_inner(node, include_neighbors, round_index, mode, compress),
+            node=node,
+            round_index=round_index,
+            zero_shot=not include_neighbors,
+        )
+
+    def _query_lifecycle(self, produce, **span_attrs) -> QueryRecord:
+        """Produce one record inside its ``query`` span and report it.
+
+        The single lifecycle of every executed query: the span opens, the
+        clock starts, ``produce()`` builds the record, which is stamped with
+        the simulated latency it consumed, annotated onto the span and
+        reported through ``on_query_end``.
+        """
         started_at = self.clock.now if self.clock is not None else None
-        with self.span(
-            "query", node=node, round_index=round_index, zero_shot=not include_neighbors
-        ) as qspan:
-            record = self._execute_inner(node, include_neighbors, round_index, mode, compress)
+        with self.span("query", **span_attrs) as qspan:
+            record = produce()
             if started_at is not None:
                 record = replace(
                     record, latency_seconds=float(self.clock.now - started_at)
@@ -547,16 +559,8 @@ class MultiQueryEngine:
             outcome = "degraded_compressed"
         else:
             outcome = "retried" if call_retries else "ok"
-        started_at = self.clock.now if self.clock is not None else None
-        with self.span(
-            "query",
-            node=node,
-            round_index=round_index,
-            zero_shot=not include_neighbors,
-            batched=True,
-            **(extra_span_attrs or {}),
-        ) as qspan:
-            record = self._record_from_response(
+        return self._query_lifecycle(
+            lambda: self._record_from_response(
                 node,
                 response,
                 selected,
@@ -564,15 +568,13 @@ class MultiQueryEngine:
                 round_index,
                 outcome,
                 compressed=compressed,
-            )
-            if started_at is not None:
-                record = replace(
-                    record, latency_seconds=float(self.clock.now - started_at)
-                )
-            self._annotate_query_span(qspan, record)
-            if self.observer is not None:
-                self.observer.on_query_end(record)
-            return record
+            ),
+            node=node,
+            round_index=round_index,
+            zero_shot=not include_neighbors,
+            batched=True,
+            **(extra_span_attrs or {}),
+        )
 
     def degrade_failed_query(
         self, node: int, include_neighbors: bool, round_index: int | None
@@ -581,23 +583,13 @@ class MultiQueryEngine:
         (thread-dispatch merge path; mirrors the serial degrade branch)."""
         if self.ladder is None:
             raise ValueError("degrading a failed query requires an engine degradation ladder")
-        started_at = self.clock.now if self.clock is not None else None
-        with self.span(
-            "query",
+        return self._query_lifecycle(
+            lambda: self._degraded_record(node, include_neighbors, round_index),
             node=node,
             round_index=round_index,
             zero_shot=not include_neighbors,
             batched=True,
-        ) as qspan:
-            record = self._degraded_record(node, include_neighbors, round_index)
-            if started_at is not None:
-                record = replace(
-                    record, latency_seconds=float(self.clock.now - started_at)
-                )
-            self._annotate_query_span(qspan, record)
-            if self.observer is not None:
-                self.observer.on_query_end(record)
-            return record
+        )
 
     def surrogate_query(self, node: int, round_index: int | None = None) -> QueryRecord:
         """Answer one query from the degradation ladder without touching the LLM.
@@ -611,40 +603,13 @@ class MultiQueryEngine:
         if self.ladder is None:
             raise ValueError("surrogate_query requires an engine degradation ladder")
         node = int(node)
-        started_at = self.clock.now if self.clock is not None else None
-        with self.span(
-            "query", node=node, round_index=round_index, zero_shot=True, surrogate=True
-        ) as qspan:
-            if self.ladder.surrogate is not None:
-                with self.span("degrade_surrogate", node=node):
-                    label, confidence = self.ladder.surrogate_prediction(node)
-                outcome = "degraded_surrogate"
-            else:
-                with self.span("abstain", node=node):
-                    label, confidence = None, None
-                outcome = "abstained"
-            record = QueryRecord(
-                node=node,
-                true_label=int(self.graph.labels[node]),
-                predicted_label=label,
-                prompt_tokens=0,
-                completion_tokens=0,
-                num_neighbors=0,
-                num_neighbor_labels=0,
-                num_pseudo_labels=0,
-                pruned=True,
-                round_index=round_index,
-                confidence=confidence,
-                outcome=outcome,
-            )
-            if started_at is not None:
-                record = replace(
-                    record, latency_seconds=float(self.clock.now - started_at)
-                )
-            self._annotate_query_span(qspan, record)
-            if self.observer is not None:
-                self.observer.on_query_end(record)
-            return record
+        return self._query_lifecycle(
+            lambda: self._zero_token_record(node, round_index),
+            node=node,
+            round_index=round_index,
+            zero_shot=True,
+            surrogate=True,
+        )
 
     def observe_replay(self, record: QueryRecord) -> None:
         """Report one checkpoint-cached record: a ``replayed`` span, zero
@@ -694,39 +659,28 @@ class MultiQueryEngine:
         items declare ``reads=frozenset()`` — a plain run truly reads no
         pseudo-labels, so every query is immediately ready.
         """
-        result = RunResult()
         executed = checkpointer.executed if checkpointer is not None else {}
-        nodes = [int(v) for v in np.asarray(queries, dtype=np.int64)]
+        items = [
+            WorkItem(
+                node=node,
+                cached=executed.get(node),
+                include_neighbors=node not in pruned,
+                compress=node in compressed and node not in pruned,
+                after_execute=checkpointer.append if checkpointer is not None else None,
+                reads=frozenset(),
+            )
+            for node in (int(v) for v in np.asarray(queries, dtype=np.int64))
+        ]
+        return self._run_items(items, checkpointer)
+
+    def _run_items(
+        self, items: list[WorkItem], checkpointer: "RunCheckpointer | None"
+    ) -> RunResult:
+        """One plain run of prepared items: dispatch, collect, seal the checkpoint."""
         if self.observer is not None:
-            self.observer.on_run_start(len(nodes))
-        if self.scheduler is not None:
-            items = [
-                WorkItem(
-                    node=node,
-                    cached=executed.get(node),
-                    include_neighbors=node not in pruned,
-                    compress=node in compressed and node not in pruned,
-                    after_execute=checkpointer.append if checkpointer is not None else None,
-                    reads=frozenset(),
-                )
-                for node in nodes
-            ]
-            result.extend(self.scheduler.run_wave(self, items).records)
-        else:
-            for node in nodes:
-                cached = executed.get(node)
-                if cached is not None:
-                    self.observe_replay(cached)
-                    result.add(cached)
-                    continue
-                record = self.execute_query(
-                    node,
-                    include_neighbors=node not in pruned,
-                    compress=node in compressed and node not in pruned,
-                )
-                result.add(record)
-                if checkpointer is not None:
-                    checkpointer.append(record)
+            self.observer.on_run_start(len(items))
+        result = RunResult()
+        result.extend(run_items(self, items)[0])
         if checkpointer is not None:
             checkpointer.mark_complete()
         return result
@@ -775,14 +729,11 @@ class MultiQueryEngine:
             prompt, _ = self.build_prompt(node, include_neighbors=False)
             floors.append(tokenizer.count(prompt) + completion_reserve)
         floor_after = np.concatenate([np.cumsum(np.asarray(floors[::-1]))[::-1][1:], [0]])
-        if self.ledger.would_exceed(int(floors[0] + floor_after[0])):
+        if self.ledger.would_exceed(int(sum(floors))):
             raise RuntimeError(
                 f"token budget cannot cover the all-zero-shot floor of {len(nodes)} "
                 f"queries ({self.ledger.remaining:.0f} tokens left)"
             )
-        result = RunResult()
-        if self.observer is not None:
-            self.observer.on_run_start(len(nodes))
 
         def decide_include(node: int, position: int) -> bool:
             """The guard's rationing decision, evaluated at execution time."""
@@ -792,32 +743,13 @@ class MultiQueryEngine:
             cost = tokenizer.count(prompt) + completion_reserve
             return not self.ledger.would_exceed(cost + int(floor_after[position]))
 
-        if self.scheduler is not None:
-            items = [
-                WorkItem(
-                    node=node,
-                    cached=executed.get(node),
-                    decide_include=(
-                        lambda node=node, i=i: decide_include(node, i)
-                    ),
-                    after_execute=checkpointer.append if checkpointer is not None else None,
-                )
-                for i, node in enumerate(nodes)
-            ]
-            result.extend(self.scheduler.run_wave(self, items).records)
-        else:
-            for i, node in enumerate(nodes):
-                cached = executed.get(node)
-                if cached is not None:
-                    self.observe_replay(cached)
-                    result.add(cached)
-                    continue
-                record = self.execute_query(
-                    node, include_neighbors=decide_include(node, i)
-                )
-                result.add(record)
-                if checkpointer is not None:
-                    checkpointer.append(record)
-        if checkpointer is not None:
-            checkpointer.mark_complete()
-        return result
+        items = [
+            WorkItem(
+                node=node,
+                cached=executed.get(node),
+                decide_include=(lambda node=node, i=i: decide_include(node, i)),
+                after_execute=checkpointer.append if checkpointer is not None else None,
+            )
+            for i, node in enumerate(nodes)
+        ]
+        return self._run_items(items, checkpointer)

@@ -24,13 +24,17 @@ Two consumers live here:
 
 :func:`execute_pipelined`
     The threads-mode continuous-batching executor for
-    :class:`~repro.core.boosting.QueryBoostingStrategy`.  A planner thread
-    owns all canonical state (label map, spans, ledger, checkpoint); worker
-    threads run *only* the LLM call of a pre-built prompt.  Eagerly
-    dispatched next-round queries overlap the current round's stragglers,
-    so peak in-flight calls can exceed ``max_concurrency`` — the bench gate
-    asserts exactly that — while records, ledgers and checkpoints stay
-    bit-identical to the serial run.
+    :class:`~repro.core.boosting.QueryBoostingStrategy`.  It drives a
+    :class:`~repro.core.boosting.BoostingStepper` — the stepper selects
+    each round's candidates and publishes its pseudo-labels — and adds
+    only readiness in between.  A planner thread owns all canonical state
+    (label map, spans, ledger, checkpoint); worker threads run the wave
+    scheduler's phase-1 body on a pre-built prompt, and every member merges
+    through the scheduler's per-item merge.  Eagerly dispatched next-round
+    queries overlap the current round's stragglers, so peak in-flight
+    calls can exceed ``max_concurrency`` — the bench gate asserts exactly
+    that — while records, ledgers and checkpoints stay bit-identical to
+    the serial run.
 
 Why eager dispatch is sound (the argument the oracle suite re-verifies
 empirically): suppose query ``q`` is not a member of the running round
@@ -55,22 +59,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.boosting import BoostingResult
-from repro.llm.reliability import TransientLLMError
+from repro.core.boosting import BoostingResult, BoostingStepper
 from repro.llm.responses import parse_category_response
-from repro.runtime.results import QueryRecord, RunResult
-from repro.runtime.scheduler import WaveStats, WorkerCrashError, _chunks
-from repro.utils.rng import spawn_rng
+from repro.runtime.results import QueryRecord
+from repro.runtime.scheduler import WaveStats, _chunks, merge_item
 
 if TYPE_CHECKING:
     from repro.core.boosting import QueryBoostingStrategy
     from repro.runtime.engine import MultiQueryEngine
     from repro.selection.base import SelectedNeighbor
-
-
-def label_support(selector, graph, node: int) -> frozenset[int] | None:
-    """The selector's declared label support for ``node`` (``None`` = unknown)."""
-    return selector.label_support(graph, int(node))
 
 
 # ----------------------------------------------------------------- the ledger
@@ -169,6 +166,11 @@ class ReadinessDAG:
         event.settle_op = self._next_op()
         self._settled[int(node)] = index
 
+    def settled_at(self, node: int) -> float | None:
+        """When ``node``'s most recent dispatch settled (``None`` if never)."""
+        index = self._settled.get(int(node))
+        return None if index is None else self.events[index].settled_at
+
     # ------------------------------------------------------------ invariants
 
     def is_acyclic(self) -> bool:
@@ -239,12 +241,9 @@ class _PlannedQuery:
     cached: QueryRecord | None = None
     future: Future | None = None
     arrived: bool = False
-    kind: str | None = None  # "ok" | "error" | "crashed" | "cached"
-    payload: object = None
-    elapsed: float = 0.0
+    outcome: tuple | None = None  # the worker's phase-1 (kind, payload, elapsed)
     label_known: bool = False
     label: int | None = None
-    deferred_attempt: int | None = None
     ready_at: float = 0.0
     dispatched_at: float = 0.0
     settled_at: float | None = None
@@ -270,11 +269,15 @@ class _PipelinedBoostRun:
 
     The planner thread (the caller) owns every canonical side effect —
     neighbor selection, prompt rendering, spans, ledger charges, checkpoint
-    appends, pseudo-label publication — in exactly the serial order.
-    Workers receive a finished prompt and run only
-    ``engine.call_llm`` (plus the chaos injector's ``before_item`` hook, so
-    WorkerStall/WorkerCrash target real DAG workers).  See the module
-    docstring for the eager-dispatch soundness argument.
+    appends, pseudo-label publication — in exactly the serial order.  The
+    round loop itself is a :class:`~repro.core.boosting.BoostingStepper`'s:
+    its candidate selection opens each round, its publication closes it,
+    and each member merges through the scheduler's per-item merge.
+    Workers run the scheduler's phase-1 body on a prompt the planner
+    already rendered: the chaos injector's ``before_item`` hook (so
+    WorkerStall/WorkerCrash target real DAG workers), then
+    ``engine.call_llm``.  See the module docstring for the eager-dispatch
+    soundness argument.
     """
 
     def __init__(
@@ -288,17 +291,9 @@ class _PipelinedBoostRun:
         self.strategy = strategy
         self.engine = engine
         self.scheduler = engine.scheduler
-        self.pruned = pruned
-        self.checkpointer = checkpointer
-        self.unexecuted = [int(v) for v in np.asarray(queries, dtype=np.int64)]
-        if len(set(self.unexecuted)) != len(self.unexecuted):
-            raise ValueError("queries contain duplicates")
-        self.cached = checkpointer.executed if checkpointer is not None else {}
-        self.gamma1 = strategy.gamma1
-        self.gamma2 = strategy.gamma2
-        self.deferrals: dict[int, int] = {}
-        self.result = RunResult()
-        self.rounds: list[list[int]] = []
+        self.stepper = BoostingStepper(
+            strategy, engine, queries, pruned=pruned, checkpointer=checkpointer
+        )
         self._started = time.perf_counter()
         self._wall_high_water = 0.0
         self.current: _RoundPlan | None = None
@@ -320,15 +315,6 @@ class _PipelinedBoostRun:
     def dag(self) -> ReadinessDAG | None:
         return getattr(self.scheduler, "dag", None)
 
-    def _peek_publishable(self, predicted: int | None, confidence: float | None) -> bool:
-        """Planner preview of ``strategy._publishable`` for an "ok" response."""
-        if predicted is None:
-            return False
-        min_conf = self.strategy.min_pseudo_confidence
-        if min_conf is not None and confidence is not None and confidence < min_conf:
-            return False
-        return True
-
     def _note_label(self, item: _PlannedQuery) -> None:
         """A member's planner label state is now known: unblock dependents."""
         self.settled_nodes.add(item.node)
@@ -341,30 +327,19 @@ class _PipelinedBoostRun:
         else:
             self.overlay_next[item.node] = item.label
 
-    def _worker(self, prompt: str, node: int, wave_index: int, item_index: int) -> tuple:
-        """The worker-thread slice: chaos hook + the LLM call, nothing else."""
-        started = time.perf_counter()
-        injector = self.scheduler.fault_injector
-        try:
-            if injector is not None:
-                injector.before_item(wave_index, item_index)
-            response, call_retries = self.engine.call_llm(prompt, node=node)
-        except WorkerCrashError as error:
-            return ("crashed", error, time.perf_counter() - started)
-        except TransientLLMError as error:
-            return ("error", error, time.perf_counter() - started)
-        return ("ok", (response, call_retries), time.perf_counter() - started)
-
     def _submit(self, item: _PlannedQuery, pool: ThreadPoolExecutor, wave_index: int) -> None:
         engine = self.engine
         if item.include_neighbors:
             prompt = engine._render_prompt(item.node, item.selected)
         else:
             prompt, _ = engine.build_prompt(item.node, include_neighbors=False)
+        prepared = (prompt, item.selected, False)
         index = self._dispatch_counts.get(wave_index, 0)
         self._dispatch_counts[wave_index] = index + 1
         item.dispatched_at = self._now()
-        item.future = pool.submit(self._worker, prompt, item.node, wave_index, index)
+        item.future = pool.submit(
+            self.scheduler._phase1, engine, item.node, lambda: prepared, wave_index, index
+        )
         self._by_future[item.future] = item
 
     def _record_dispatch_event(self, item: _PlannedQuery, wave_index: int) -> None:
@@ -381,14 +356,10 @@ class _PipelinedBoostRun:
         blocked_by = None
         for p in sorted(reads):
             settled = self.current.by_node.get(p) if self.current is not None else None
-            at = None
             if settled is not None and settled.settled_at is not None:
                 at = settled.settled_at
             else:
-                for event in reversed(self.dag.events):
-                    if event.node == p and event.settled_at is not None:
-                        at = event.settled_at
-                        break
+                at = self.dag.settled_at(p)
             if at is not None and at > ready:
                 ready, blocked_by = at, p
         item.ready_at = ready
@@ -406,36 +377,28 @@ class _PipelinedBoostRun:
 
     # --------------------------------------------------------- round planning
 
-    def _make_item(self, node: int, merged_view: dict[int, int] | None) -> _PlannedQuery:
-        """Build the planner state for one member under the given label view.
-
-        ``merged_view=None`` means the engine's own label map (determination
-        time, after the previous round published).
-        """
-        engine = self.engine
-        include = node not in self.pruned
-        if merged_view is None:
-            selected = engine.select_neighbors(node) if include else []
-        else:
-            rng = spawn_rng(engine.seed, "neighbor-sample", int(node))
-            selected = (
-                engine.selector.select(
-                    engine.graph, int(node), merged_view, engine.max_neighbors, rng
-                )
-                if include
-                else []
-            )
+    def _make_item(
+        self, node: int, selected: "list[SelectedNeighbor] | None" = None
+    ) -> _PlannedQuery:
+        """Planner state for one member; ``selected=None`` selects against
+        the engine's own label map (determination time, after the previous
+        round published)."""
+        stepper = self.stepper
+        include = node not in stepper.pruned
+        if not include:
+            selected = []
+        elif selected is None:
+            selected = self.engine.select_neighbors(node)
         return _PlannedQuery(
             node=node,
             include_neighbors=include,
             selected=selected,
-            can_defer=self.deferrals.get(node, 0) < self.strategy.max_deferrals,
-            cached=self.cached.get(node),
+            can_defer=stepper.can_defer(node),
+            cached=stepper.cached.get(node),
         )
 
     def _settle_cached(self, item: _PlannedQuery) -> None:
         item.arrived = True
-        item.kind = "cached"
         item.label_known = True
         item.settled_at = self._now()
         record = item.cached
@@ -445,19 +408,9 @@ class _PipelinedBoostRun:
         self._note_label(item)
 
     def _determine_round(self) -> None:
-        """Canonical Step 1: candidate selection with threshold relaxation."""
-        strategy, engine = self.strategy, self.engine
-        candidates = strategy._candidates(engine, self.unexecuted, self.gamma1, self.gamma2)
-        while not candidates:
-            if self.gamma1 > 0:
-                self.gamma1 -= 1
-            elif strategy.use_conflict_threshold and self.gamma2 < engine.graph.num_classes:
-                self.gamma2 += 1
-            else:
-                candidates = [(node, 0) for node in self.unexecuted]
-                break
-            candidates = strategy._candidates(engine, self.unexecuted, self.gamma1, self.gamma2)
-        candidates.sort(key=lambda pair: (-pair[1], pair[0]))
+        """Canonical Step 1: the stepper's candidate selection."""
+        stepper, engine = self.stepper, self.engine
+        candidates, _relaxed = stepper.select_candidates()
 
         wave_index = self.scheduler._next_wave
         self.scheduler._next_wave += 1
@@ -473,9 +426,7 @@ class _PipelinedBoostRun:
         for node, _count in candidates:
             item = eager.pop(node, None)
             if item is not None:
-                if item.can_defer != (
-                    self.deferrals.get(node, 0) < strategy.max_deferrals
-                ):
+                if item.can_defer != stepper.can_defer(node):
                     raise RuntimeError(
                         f"eager dispatch of node {node} drifted from canonical "
                         "deferral state"
@@ -491,7 +442,7 @@ class _PipelinedBoostRun:
                             "label_support is unsound"
                         )
             else:
-                item = self._make_item(node, merged_view=None)
+                item = self._make_item(node)
             members.append(item)
         if eager:
             raise RuntimeError(
@@ -527,9 +478,9 @@ class _PipelinedBoostRun:
         current = self.current
         if current is None:
             return
-        strategy, engine = self.strategy, self.engine
+        strategy, stepper, engine = self.strategy, self.stepper, self.engine
         merged: dict[int, int] | None = None
-        for node in self.unexecuted:
+        for node in stepper.unexecuted:
             if node in current.by_node or node in self.eager:
                 continue
             support = engine.selector.label_support(engine.graph, node)
@@ -545,23 +496,10 @@ class _PipelinedBoostRun:
             if merged is None:
                 merged = dict(engine.label_map)
                 merged.update(self.overlay)
-            rng = spawn_rng(engine.seed, "neighbor-sample", int(node))
-            selected = engine.selector.select(
-                engine.graph, int(node), merged, engine.max_neighbors, rng
-            )
-            labels = [sn.label for sn in selected if sn.label is not None]
-            count, conflicts = len(labels), len(set(labels))
-            if count < self.gamma1 or (
-                strategy.use_conflict_threshold and conflicts > self.gamma2
-            ):
+            selected = engine._select_under(node, merged)
+            if strategy._qualifying_count(selected, stepper.gamma1, stepper.gamma2) is None:
                 continue
-            item = _PlannedQuery(
-                node=node,
-                include_neighbors=node not in self.pruned,
-                selected=selected if node not in self.pruned else [],
-                can_defer=self.deferrals.get(node, 0) < strategy.max_deferrals,
-                cached=self.cached.get(node),
-            )
+            item = self._make_item(node, selected)
             self.eager[node] = item
             wave_index = current.wave_index + 1
             if item.cached is not None:
@@ -580,28 +518,24 @@ class _PipelinedBoostRun:
     # ------------------------------------------------------------- settlement
 
     def _settle(self, item: _PlannedQuery) -> None:
-        kind, payload, elapsed = item.future.result()
+        item.outcome = item.future.result()
         item.arrived = True
-        item.kind = kind
-        item.payload = payload
-        item.elapsed = elapsed
+        kind, payload, _elapsed = item.outcome
         if kind == "ok":
-            response, _call_retries = payload
+            response = payload[0]
             predicted = parse_category_response(
                 response.text, self.engine.graph.class_names
             )
             confidence = getattr(response, "confidence", None)
             item.settled_at = self._now()
             item.label_known = True
-            if self._peek_publishable(predicted, confidence):
+            if self.strategy._publishable_answer(predicted, confidence):
                 item.label = predicted
             self._note_label(item)
         elif kind == "error" and item.can_defer:
-            # The deferral is decided now (the canonical observer callback
-            # fires later, at this item's finalize slot): dependents need
-            # to know no label is coming from this round.
-            self.deferrals[item.node] = self.deferrals.get(item.node, 0) + 1
-            item.deferred_attempt = self.deferrals[item.node]
+            # The deferral is decided now (the canonical deferral count and
+            # observer callback land later, at this item's finalize slot):
+            # dependents need to know no label is coming from this round.
             item.settled_at = self._now()
             item.label_known = True
             self._note_label(item)
@@ -622,15 +556,14 @@ class _PipelinedBoostRun:
     def _finalize_round(self, plan: _RoundPlan) -> None:
         """Canonical merge, spans, publication and bookkeeping for one round.
 
-        Mirrors the wave scheduler's thread merge exactly — same span
-        structure (``round`` > ``wave`` > condensed ``query`` spans), same
-        ledger/checkpoint order — plus the additive ``dag_*`` readiness
-        attributes on each batched query span (trace schema v3).
+        Each member merges through the wave scheduler's per-item merge —
+        same span structure (``round`` > ``wave`` > condensed ``query``
+        spans), same ledger/checkpoint order — plus the additive ``dag_*``
+        readiness attributes on each batched query span (trace schema v3).
+        The stepper then publishes the round.
         """
-        strategy, engine = self.strategy, self.engine
-        observer = engine.observer
-        checkpointer = self.checkpointer
-        round_index = len(self.rounds)
+        stepper, engine = self.stepper, self.engine
+        round_index = len(stepper.rounds)
         round_records: list[QueryRecord] = []
         round_deferred = 0
         replayed = 0
@@ -644,68 +577,21 @@ class _PipelinedBoostRun:
                 queries=len(plan.members),
                 dag_pipelined=True,
             ):
-                for item in plan.members:
-                    if item.cached is not None:
-                        engine.observe_replay(item.cached)
-                        round_records.append(item.cached)
-                        self.result.add(item.cached)
+                for member in plan.members:
+                    record, seconds = merge_item(
+                        engine,
+                        stepper.work_item(member.node, round_index),
+                        member.outcome,
+                        extra_span_attrs=self._readiness_attrs(member),
+                    )
+                    serial_seconds += seconds
+                    if member.cached is not None:
                         replayed += 1
-                        continue
-                    serial_seconds += item.elapsed
-                    if item.kind == "crashed":
-                        # Worker died before its LLM call: recover on the
-                        # canonical serial path (no call is duplicated).
-                        started = time.perf_counter()
-                        try:
-                            record = engine.execute_query(
-                                item.node,
-                                include_neighbors=item.include_neighbors,
-                                round_index=round_index,
-                                on_failure="raise" if item.can_defer else None,
-                            )
-                        except TransientLLMError:
-                            serial_seconds += time.perf_counter() - started
-                            if not item.can_defer:
-                                raise
-                            self.deferrals[item.node] = (
-                                self.deferrals.get(item.node, 0) + 1
-                            )
-                            item.deferred_attempt = self.deferrals[item.node]
-                            if observer is not None:
-                                observer.on_deferral(item.node, item.deferred_attempt)
-                            round_deferred += 1
-                            self._resolve_at_finalize(item, None)
-                            continue
-                        serial_seconds += time.perf_counter() - started
-                    elif item.kind == "ok":
-                        response, call_retries = item.payload
-                        record = engine.finalize_prepared(
-                            item.node,
-                            response,
-                            item.selected,
-                            include_neighbors=item.include_neighbors,
-                            round_index=round_index,
-                            call_retries=call_retries,
-                            extra_span_attrs=self._readiness_attrs(item),
-                        )
-                    else:  # "error"
-                        if item.can_defer:
-                            if observer is not None:
-                                observer.on_deferral(item.node, item.deferred_attempt)
-                            round_deferred += 1
-                            continue
-                        if engine.ladder is None:
-                            raise item.payload
-                        record = engine.degrade_failed_query(
-                            item.node,
-                            include_neighbors=item.include_neighbors,
-                            round_index=round_index,
-                        )
-                    round_records.append(record)
-                    self.result.add(record)
-                    if checkpointer is not None:
-                        checkpointer.append(record)
-                    self._resolve_at_finalize(item, record)
+                    if record is None:
+                        round_deferred += 1
+                    else:
+                        round_records.append(record)
+                    self._resolve_at_finalize(member, record)
         wave_end = self._now()
         overlapped = max(0.0, wave_end - self._wall_high_water)
         self._wall_high_water = max(self._wall_high_water, wave_end)
@@ -719,29 +605,15 @@ class _PipelinedBoostRun:
             overlapped_seconds=overlapped,
         )
         self.scheduler.report.waves.append(stats)
-        if observer is not None:
-            observer.on_wave_end(
+        if engine.observer is not None:
+            engine.observer.on_wave_end(
                 stats.wave_index,
                 stats.num_queries,
                 stats.num_batches,
                 stats.serial_seconds,
                 stats.overlapped_seconds,
             )
-        # Step 3: publish after the whole round, exactly as Algorithm 2
-        # separates its query and label-update steps.
-        for record in round_records:
-            if not strategy._publishable(record):
-                continue
-            if record.node not in engine.pseudo_labeled:
-                engine.add_pseudo_label(record.node, record.predicted_label)
-                if checkpointer is not None:
-                    checkpointer.record_pseudo(record.node, record.predicted_label)
-        executed = {r.node for r in round_records}
-        self.unexecuted = [v for v in self.unexecuted if v not in executed]
-        if round_records:
-            if observer is not None:
-                observer.on_round_end(round_index, len(round_records), round_deferred)
-            self.rounds.append([r.node for r in round_records])
+        stepper.publish_round(round_records, round_deferred)
         if plan.pool is not None:
             plan.pool.shutdown(wait=True)
 
@@ -774,11 +646,8 @@ class _PipelinedBoostRun:
         return pending
 
     def run(self) -> BoostingResult:
-        engine = self.engine
-        if engine.observer is not None:
-            engine.observer.on_run_start(len(self.unexecuted))
         try:
-            while self.unexecuted or self.current is not None:
+            while self.stepper.unexecuted or self.current is not None:
                 if self.current is None:
                     self._determine_round()
                     self._try_eager()
@@ -794,9 +663,7 @@ class _PipelinedBoostRun:
         finally:
             for pool in self._pools:
                 pool.shutdown(wait=True, cancel_futures=True)
-        if self.checkpointer is not None:
-            self.checkpointer.mark_complete()
-        return BoostingResult(run=self.result, rounds=self.rounds)
+        return self.stepper.finish()
 
 
 def execute_pipelined(

@@ -49,6 +49,13 @@ Orthogonal to the mode, the **dispatch plan** picks the ordering model:
     wave's span), while threads-mode boosting routes to the pipelined
     executor whose peak in-flight calls can exceed ``max_concurrency``.
 
+Every path runs a query through the same two functions:
+:func:`execute_item` is the one canonical per-item executor (replay, the
+budget guard's decision, the call, deferral, the checkpoint hook) — the
+serial loops, ordered dispatch and crash recovery all call it — and
+:func:`merge_item` is the one per-item merge of a thread-dispatched
+result, shared by the wave pool and the pipelined DAG executor.
+
 The scheduler reports per-wave telemetry through the engine's observer
 (``on_wave_start`` / ``on_wave_end``) as **metrics only** — emitting wave
 spans would break the bit-identical trace contract of simulated dispatch.
@@ -60,6 +67,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.llm.reliability import TransientLLMError
@@ -389,35 +397,17 @@ class QueryScheduler:
         timeline: list[tuple[WorkItem, float, QueryRecord | None]] = []
         replayed_nodes: list[int] = []
         for item in items:
+            started = clock.now if clock is not None else 0.0
+            record = execute_item(engine, item)
             if item.cached is not None:
-                engine.observe_replay(item.cached)
-                records.append(item.cached)
+                records.append(record)
                 replayed_nodes.append(item.node)
                 continue
-            include = (
-                item.decide_include() if item.decide_include is not None else item.include_neighbors
-            )
-            started = clock.now if clock is not None else 0.0
-            try:
-                record = engine.execute_query(
-                    item.node,
-                    include_neighbors=include,
-                    round_index=item.round_index,
-                    on_failure=item.on_failure,
-                    compress=item.compress,
-                )
-            except TransientLLMError:
-                if item.on_failure != "raise":
-                    raise
-                timeline.append((item, (clock.now - started) if clock is not None else 0.0, None))
-                deferred.append(item.node)
-                if item.on_defer is not None:
-                    item.on_defer()
-                continue
             timeline.append((item, (clock.now - started) if clock is not None else 0.0, record))
-            records.append(record)
-            if item.after_execute is not None:
-                item.after_execute(record)
+            if record is None:
+                deferred.append(item.node)
+            else:
+                records.append(record)
         if self.dispatch == "dag":
             serial_seconds, overlapped_seconds = self._dag_pack(
                 timeline, replayed_nodes, wave_index
@@ -570,28 +560,46 @@ class QueryScheduler:
         else:
             batches = _chunks(fresh, self.max_batch_size)
         phase1: dict[int, tuple] = {}
-        serial_seconds = 0.0
         overlapped_seconds = 0.0
         for batch in batches:
             batch_started = time.perf_counter()
             with ThreadPoolExecutor(max_workers=min(self.max_concurrency, len(batch))) as pool:
                 futures = {
-                    index: pool.submit(self._phase1, engine, item, wave_index, index)
+                    index: pool.submit(
+                        self._phase1,
+                        engine,
+                        item.node,
+                        partial(
+                            engine.prepare_prompt,
+                            item.node,
+                            include_neighbors=item.include_neighbors,
+                            compress=item.compress,
+                        ),
+                        wave_index,
+                        index,
+                    )
                     for index, item in batch
                 }
                 for index, future in futures.items():
                     phase1[index] = future.result()
             overlapped_seconds += time.perf_counter() - batch_started
+        records: list[QueryRecord] = []
+        deferred: list[int] = []
+        serial_seconds = 0.0
         with engine.span("wave", wave_index=wave_index, queries=len(items)):
-            records, deferred, replayed, serial_seconds = self._merge_threads(
-                engine, items, phase1
-            )
+            for index, item in enumerate(items):
+                record, seconds = merge_item(engine, item, phase1.get(index))
+                serial_seconds += seconds
+                if record is None:
+                    deferred.append(item.node)
+                else:
+                    records.append(record)
         if self.dag is not None:
             self._record_threads_wave(items, deferred, wave_index, overlapped_seconds)
         stats = WaveStats(
             wave_index=wave_index,
             num_queries=len(items),
-            num_replayed=replayed,
+            num_replayed=len(items) - len(fresh),
             num_deferred=len(deferred),
             num_batches=num_batches,
             serial_seconds=serial_seconds,
@@ -648,13 +656,21 @@ class QueryScheduler:
         self._virtual_makespan = end
 
     def _phase1(
-        self, engine: "MultiQueryEngine", item: WorkItem, wave_index: int, index: int
+        self,
+        engine: "MultiQueryEngine",
+        node: int,
+        prepare: Callable[[], tuple],
+        wave_index: int,
+        index: int,
     ) -> tuple:
-        """The parallel-safe slice of one query: build prompt, call the LLM.
+        """The parallel-safe slice of one query: prepare its prompt, call the LLM.
 
-        The node id rides along so a routed engine runs its full cascade
-        (entry tier + escalations) here on the worker thread; the merge
-        phase only finalizes the already-aggregated response.  A
+        The one worker body of both thread executors.  ``prepare`` returns
+        ``(prompt, selected, compressed)``: the wave pool prepares on the
+        worker, the pipelined executor hands in the prompt its planner
+        thread already rendered.  The node id rides along so a routed engine
+        runs its full cascade (entry tier + escalations) here on the worker
+        thread; the merge only finalizes the already-aggregated response.  A
         ``fault_injector`` crash fires *before* any work, so a "dead"
         worker's query is lost without ever reaching the LLM.
         """
@@ -662,12 +678,8 @@ class QueryScheduler:
         try:
             if self.fault_injector is not None:
                 self.fault_injector.before_item(wave_index, index)
-            prompt, selected, compressed = engine.prepare_prompt(
-                item.node,
-                include_neighbors=item.include_neighbors,
-                compress=item.compress,
-            )
-            response, call_retries = engine.call_llm(prompt, node=item.node)
+            prompt, selected, compressed = prepare()
+            response, call_retries = engine.call_llm(prompt, node=node)
         except WorkerCrashError as error:
             return ("crashed", error, time.perf_counter() - started)
         except TransientLLMError as error:
@@ -678,73 +690,109 @@ class QueryScheduler:
             time.perf_counter() - started,
         )
 
-    def _merge_threads(
-        self, engine: "MultiQueryEngine", items: list[WorkItem], phase1: dict[int, tuple]
-    ) -> tuple[list[QueryRecord], list[int], int, float]:
-        records: list[QueryRecord] = []
-        deferred: list[int] = []
-        replayed = 0
-        serial_seconds = 0.0
-        for index, item in enumerate(items):
-            if item.cached is not None:
-                engine.observe_replay(item.cached)
-                records.append(item.cached)
-                replayed += 1
-                continue
-            kind, payload, elapsed = phase1[index]
-            serial_seconds += elapsed
-            if kind == "crashed":
-                # The worker died before its LLM call: recover by re-running
-                # the item on the canonical serial path.  Nothing reached the
-                # provider in phase 1, so the re-execution duplicates no call.
-                started = time.perf_counter()
-                try:
-                    record = engine.execute_query(
-                        item.node,
-                        include_neighbors=item.include_neighbors,
-                        round_index=item.round_index,
-                        on_failure=item.on_failure,
-                        compress=item.compress,
-                    )
-                except TransientLLMError:
-                    serial_seconds += time.perf_counter() - started
-                    if item.on_failure != "raise":
-                        raise
-                    deferred.append(item.node)
-                    if item.on_defer is not None:
-                        item.on_defer()
-                    continue
-                serial_seconds += time.perf_counter() - started
-                records.append(record)
-                if item.after_execute is not None:
-                    item.after_execute(record)
-                continue
-            if kind == "ok":
-                response, selected, call_retries, compressed = payload
-                record = engine.finalize_prepared(
-                    item.node,
-                    response,
-                    selected,
-                    include_neighbors=item.include_neighbors,
-                    round_index=item.round_index,
-                    call_retries=call_retries,
-                    compressed=compressed,
-                )
-            else:
-                mode = item.on_failure or ("degrade" if engine.ladder is not None else "raise")
-                if mode == "raise":
-                    if item.on_failure == "raise":
-                        deferred.append(item.node)
-                        if item.on_defer is not None:
-                            item.on_defer()
-                        continue
-                    raise payload
-                record = engine.degrade_failed_query(
-                    item.node,
-                    include_neighbors=item.include_neighbors,
-                    round_index=item.round_index,
-                )
+
+# ------------------------------------------------------------ one work item
+
+
+def execute_item(engine: "MultiQueryEngine", item: WorkItem) -> QueryRecord | None:
+    """Run one work item on the canonical serial path.
+
+    Replays a ``cached`` record, else evaluates ``decide_include`` and
+    executes the query.  A transient failure of a ``on_failure="raise"``
+    item defers it (``on_defer`` fires, ``None`` returns); any other
+    failure propagates.  ``after_execute`` sees every fresh record.
+    """
+    if item.cached is not None:
+        engine.observe_replay(item.cached)
+        return item.cached
+    include = item.decide_include() if item.decide_include is not None else item.include_neighbors
+    try:
+        record = engine.execute_query(
+            item.node,
+            include_neighbors=include,
+            round_index=item.round_index,
+            on_failure=item.on_failure,
+            compress=item.compress,
+        )
+    except TransientLLMError:
+        if item.on_failure != "raise":
+            raise
+        if item.on_defer is not None:
+            item.on_defer()
+        return None
+    if item.after_execute is not None:
+        item.after_execute(record)
+    return record
+
+
+def merge_item(
+    engine: "MultiQueryEngine",
+    item: WorkItem,
+    outcome: tuple | None,
+    extra_span_attrs: dict | None = None,
+) -> tuple[QueryRecord | None, float]:
+    """Canonical-order merge of one thread-dispatched item.
+
+    ``outcome`` is the item's :meth:`QueryScheduler._phase1` result, or
+    ``None`` for a replayed item.  An ``ok`` call is finalized (with the
+    caller's ``extra_span_attrs`` on its ``query`` span); a crashed worker
+    died before its LLM call, so the item re-runs through
+    :func:`execute_item` without duplicating any call; a failed call is
+    deferred, degraded or raised exactly as the serial path would.
+    Returns the record (``None`` when deferred) and the item's serial
+    seconds: its phase-1 call plus any crash re-execution.
+    """
+    if outcome is None:
+        return execute_item(engine, item), 0.0
+    kind, payload, elapsed = outcome
+    if kind == "crashed":
+        started = time.perf_counter()
+        record = execute_item(engine, item)
+        return record, elapsed + time.perf_counter() - started
+    if kind == "ok":
+        response, selected, call_retries, compressed = payload
+        record = engine.finalize_prepared(
+            item.node,
+            response,
+            selected,
+            include_neighbors=item.include_neighbors,
+            round_index=item.round_index,
+            call_retries=call_retries,
+            extra_span_attrs=extra_span_attrs,
+            compressed=compressed,
+        )
+    else:
+        mode = item.on_failure or ("degrade" if engine.ladder is not None else "raise")
+        if mode == "raise":
+            if item.on_failure != "raise":
+                raise payload
+            if item.on_defer is not None:
+                item.on_defer()
+            return None, elapsed
+        record = engine.degrade_failed_query(
+            item.node,
+            include_neighbors=item.include_neighbors,
+            round_index=item.round_index,
+        )
+    if item.after_execute is not None:
+        item.after_execute(record)
+    return record, elapsed
+
+
+def run_items(
+    engine: "MultiQueryEngine", items: list[WorkItem]
+) -> tuple[list[QueryRecord], int]:
+    """Dispatch ``items`` as one wave, or execute them in order without a scheduler.
+
+    Returns the records in canonical order and how many items deferred.
+    Without an engine scheduler no wave telemetry is emitted.
+    """
+    if engine.scheduler is not None:
+        outcome = engine.scheduler.run_wave(engine, items)
+        return outcome.records, len(outcome.deferred)
+    records = []
+    for item in items:
+        record = execute_item(engine, item)
+        if record is not None:
             records.append(record)
-            if item.after_execute is not None:
-                item.after_execute(record)
-        return records, deferred, replayed, serial_seconds
+    return records, len(items) - len(records)

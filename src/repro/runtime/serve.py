@@ -60,7 +60,7 @@ from repro.core.budget import BudgetLedger, LedgerBook
 from repro.io.atomic import append_line_durable, atomic_write_text
 from repro.llm.pricing import PRICES_PER_1K_TOKENS, cache_discount_usd, cost_usd
 from repro.runtime.results import QueryRecord
-from repro.runtime.scheduler import WorkItem
+from repro.runtime.scheduler import WorkItem, execute_item
 from repro.utils.rng import spawn_rng
 
 if TYPE_CHECKING:
@@ -899,13 +899,7 @@ class ServingLayer:
             if chaos is not None:
                 chaos.current_tenant = tenant
             try:
-                records.append(
-                    item_engine.execute_query(
-                        item.node,
-                        include_neighbors=item.include_neighbors,
-                        compress=item.compress,
-                    )
-                )
+                records.append(execute_item(item_engine, item))
             finally:
                 if chaos is not None:
                     chaos.current_tenant = None

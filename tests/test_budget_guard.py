@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.budget import BudgetLedger
+from repro.io.runs import RunCheckpointer
+from repro.runtime.scheduler import QueryScheduler
 
 
 def guarded_engine(make_tiny_engine, budget: float):
@@ -61,3 +63,16 @@ class TestBudgetGuard:
         engine = guarded_engine(make_tiny_engine, budget=10**6)
         with pytest.raises(ValueError):
             engine.run_with_budget_guard(tiny_split.queries[:2], completion_reserve=-1)
+
+    @pytest.mark.parametrize("scheduler", [None, "simulated", "threads"])
+    def test_empty_query_list_completes(self, make_tiny_engine, tmp_path, scheduler):
+        engine = make_tiny_engine(
+            ledger=BudgetLedger(budget=10**6),
+            scheduler=QueryScheduler(mode=scheduler) if scheduler else None,
+        )
+        path = tmp_path / "guard.json"
+        result = engine.run_with_budget_guard([], checkpointer=RunCheckpointer(path))
+        assert result.num_queries == 0
+        assert engine.ledger.spent == 0
+        # Sealed exactly as ``engine.run([])`` seals it.
+        assert RunCheckpointer(path).state.completed is True

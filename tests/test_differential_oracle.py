@@ -41,6 +41,7 @@ from tests.equivalence import (
     run_scenario,
     run_serve_scenario,
     strip_readiness_attributes,
+    strip_scheduler_metrics,
 )
 
 BATCH = 4
@@ -203,6 +204,15 @@ class TestThreadLegs:
         )
         assert_equivalent(wave, dag, compare_traces=False)
         audit_dag(dag_sched)
+        if not scenario.route and wave.metrics is not None and dag.metrics is not None:
+            # Metrics beyond the scheduler's own families must agree too: a
+            # doubled run start or a misplaced deferral shows up here.  Routed
+            # runs are left out: the router reports each cascade's dollars
+            # from the worker thread, so its float counter sums in call
+            # completion order, which differs between any two threads legs.
+            assert strip_scheduler_metrics(dag.metrics) == strip_scheduler_metrics(
+                wave.metrics
+            ), "thread legs' metrics diverged beyond repro_scheduler_*"
         if not clock_moves:
             # With a motionless clock the threads legs are records-identical
             # to serial too, and the traces must agree span for span once
