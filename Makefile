@@ -4,7 +4,7 @@
 # it `pytest | tee` reports tee's exit status and swallows test failures.
 SHELL := /bin/bash
 
-.PHONY: install test test-parallel test-equivalence test-differential test-mqo coverage bench bench-check bench-tables report examples trace-smoke chaos-smoke analyze-smoke cluster-smoke perfbench-smoke clean
+.PHONY: install test test-parallel test-equivalence test-differential test-mqo coverage bench bench-check bench-tables report examples trace-smoke chaos-smoke analyze-smoke cluster-smoke perfbench-smoke perfbench-ab clean
 
 # Line-coverage floor enforced by `make coverage` (and CI).
 COVERAGE_FLOOR := 80
@@ -150,6 +150,16 @@ perfbench-smoke:
 			> .smoke/perfbench-$$workload.json || exit 1; \
 		tail -n 1 .smoke/perfbench-$$workload.json | grep -q '"correct": true' || exit 1; \
 	done
+
+# Alternating parent/change pairs of one perfbench workload, e.g.
+#   make perfbench-ab PARENT=main WORKLOAD=joint-cora PAIRS=10
+# Prints both sides' medians and quartiles, the win count and whether the
+# deterministic metrics matched per seed.  Not in CI: ten pairs take about
+# 20 minutes.
+PAIRS ?= 10
+
+perfbench-ab:
+	python3 benchmarks/ab_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
 
 examples:
 	python examples/quickstart.py

@@ -135,7 +135,7 @@ class QueryBoostingStrategy:
         """
         if relaxed or deferrals.get(node, 0) > 0:
             return None
-        return engine.selector.label_support(engine.graph, node)
+        return engine.label_support(node)
 
     def _publishable(self, record) -> bool:
         """Whether a record's prediction may enter the pseudo-label map.

@@ -35,22 +35,24 @@ def bfs_hops(graph: TextAttributedGraph, node: int, max_hops: int) -> dict[int, 
         raise ValueError(f"max_hops must be >= 0, got {max_hops}")
     if not 0 <= node < graph.num_nodes:
         raise ValueError(f"node {node} out of range")
-    visited = {int(node)}
-    frontier = np.asarray([node], dtype=np.int64)
+    indptr, indices = graph.indptr, graph.indices
+    visited = np.zeros(graph.num_nodes, dtype=bool)
+    visited[node] = True
+    reached = indices[indptr[node] : indptr[node + 1]]
     layers: dict[int, np.ndarray] = {}
     for hop in range(1, max_hops + 1):
-        if frontier.size == 0:
+        fresh = np.unique(reached[~visited[reached]])
+        if fresh.size == 0:
             break
-        candidates: set[int] = set()
-        for u in frontier:
-            candidates.update(int(v) for v in graph.neighbors(int(u)))
-        fresh = sorted(candidates - visited)
-        if not fresh:
+        layers[hop] = fresh
+        if hop == max_hops:
             break
-        layer = np.asarray(fresh, dtype=np.int64)
-        layers[hop] = layer
-        visited.update(fresh)
-        frontier = layer
+        visited[fresh] = True
+        # Gather every new node's CSR slice in one indexing step.
+        starts = indptr[fresh]
+        lengths = indptr[fresh + 1] - starts
+        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        reached = indices[offsets + np.arange(offsets.size)]
     return layers
 
 

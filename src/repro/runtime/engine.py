@@ -9,13 +9,16 @@ query by query (boosting) or in bulk (plain runs, Algorithm 1 pruned runs).
 Neighbor sampling randomness is seeded per *node*, not per call, so the same
 query node draws the same random neighbors whether or not it is pruned,
 boosted, or reordered — exactly the paired-comparison setup the paper's
-tables rely on.
+tables rely on.  It also makes a node's selection a pure function of the
+labels in its selector's ``label_support``, which lets the engine memoise
+selections and drop only those a newly published label can change.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import replace
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -137,13 +140,28 @@ class MultiQueryEngine:
             int(v): int(graph.labels[int(v)]) for v in np.asarray(labeled, dtype=np.int64)
         }
         self._pseudo: set[int] = set()
+        # Selection memo.  Selections memoised since the last label add wait
+        # in ``_pending``; the next add indexes each, once per node, under
+        # the support members still unlabeled then (labels are add-only, so
+        # labeled members never change), or marks it as reading any label.
+        # Runs that never add a label never compute a support.
+        self._selections: dict[int, list[SelectedNeighbor]] = {}
+        self._pending: list[int] = []
+        self._indexed: set[int] = set()
+        self._dependents: dict[int, list[int]] = {}
+        self._reads_any: set[int] = set()
+        self._supports: dict[int, frozenset[int] | None] = {}
 
     # ------------------------------------------------------------ label state
 
     @property
-    def label_map(self) -> dict[int, int]:
-        """Current labels (gold + pseudo).  Treat as read-only."""
-        return self._labels
+    def label_map(self) -> "Mapping[int, int]":
+        """Current labels (gold + pseudo), as a read-only live view.
+
+        Labels change only through :meth:`add_pseudo_label`, which keeps
+        the selection memo in step with them.
+        """
+        return MappingProxyType(self._labels)
 
     @property
     def pseudo_labeled(self) -> frozenset[int]:
@@ -160,8 +178,13 @@ class MultiQueryEngine:
             raise ValueError(f"node {node} already has a label")
         if not 0 <= label < self.graph.num_classes:
             raise ValueError(f"label {label} out of range")
+        self._index_pending()
         self._labels[node] = int(label)
         self._pseudo.add(node)
+        for dependent in self._dependents.pop(node, ()):
+            self._selections.pop(dependent, None)
+        for dependent in self._reads_any:
+            self._selections.pop(dependent, None)
 
     def restore_pseudo_labels(self, labels: "Mapping[int, int]") -> None:
         """Re-publish pseudo-labels persisted by a checkpoint (resume path).
@@ -183,16 +206,58 @@ class MultiQueryEngine:
 
     # -------------------------------------------------------------- selection
 
+    def label_support(self, node: int) -> frozenset[int] | None:
+        """The selector's :meth:`~NeighborSelector.label_support` of ``node``,
+        computed once per engine."""
+        node = int(node)
+        if node not in self._supports:
+            self._supports[node] = self.selector.label_support(self.graph, node)
+        return self._supports[node]
+
     def select_neighbors(self, node: int) -> list[SelectedNeighbor]:
-        """Run the selector for ``node`` against the current label state."""
-        return self._select_under(node, self._labels)
+        """The selection of ``node`` under the current label state.
+
+        Memoised until a label inside the node's support is added.  The
+        returned list is shared between callers, who must not mutate it.
+        Labels never change while a wave's worker threads prepare prompts,
+        so concurrent misses at worst compute the same selection twice.
+        """
+        node = int(node)
+        selected = self._selections.get(node)
+        if selected is None:
+            selected = self._select_under(node, self._labels)
+            self._selections[node] = selected
+            self._pending.append(node)
+        return selected
+
+    def _index_pending(self) -> None:
+        """Index the selections memoised since the last label add.
+
+        Runs before the next label lands, so the label state is still the
+        one those selections were made under.  The support is not kept: an
+        SNS support spans thousands of nodes, and the index needs only its
+        unlabeled members, once.
+        """
+        for node in self._pending:
+            if node in self._indexed:
+                continue
+            self._indexed.add(node)
+            support = self.selector.label_support(self.graph, node)
+            if support is None:
+                self._reads_any.add(node)
+                continue
+            for member in support:
+                if member not in self._labels:
+                    self._dependents.setdefault(member, []).append(node)
+        self._pending.clear()
 
     def _select_under(self, node: int, labels: "Mapping[int, int]") -> list[SelectedNeighbor]:
         """Run the selector for ``node`` against the label view ``labels``.
 
         The per-node sample seed is derived here and only here, so every
         selection of a node — canonical or a planner's partial view — draws
-        the same random neighbors.
+        the same random neighbors.  Never memoised: ``labels`` need not be
+        the engine's own state.
         """
         node = int(node)
         rng = spawn_rng(self.seed, "neighbor-sample", node)

@@ -345,7 +345,7 @@ class _PipelinedBoostRun:
     def _record_dispatch_event(self, item: _PlannedQuery, wave_index: int) -> None:
         if self.dag is None:
             return
-        support = self.engine.selector.label_support(self.engine.graph, item.node)
+        support = self.engine.label_support(item.node)
         if support is None:
             reads: frozenset[int] = frozenset()
             barrier = True
@@ -432,7 +432,9 @@ class _PipelinedBoostRun:
                         "deferral state"
                     )
                 if item.include_neighbors and item.cached is None:
-                    canonical = engine.select_neighbors(node)
+                    # Uncached on purpose: the memo trusts label_support,
+                    # which is exactly what this guard tests.
+                    canonical = engine._select_under(node, engine.label_map)
                     if [(sn.node, sn.label) for sn in item.selected] != [
                         (sn.node, sn.label) for sn in canonical
                     ]:
@@ -483,7 +485,7 @@ class _PipelinedBoostRun:
         for node in stepper.unexecuted:
             if node in current.by_node or node in self.eager:
                 continue
-            support = engine.selector.label_support(engine.graph, node)
+            support = engine.label_support(node)
             if support is None:
                 continue  # unknown read set: wait for the barrier
             blockers = [

@@ -50,12 +50,20 @@ class NeighborSelector(abc.ABC):
     def label_support(self, graph: TextAttributedGraph, node: int) -> frozenset[int] | None:
         """Every node whose label-map entry can influence ``select(node)``.
 
-        The readiness DAG (``repro.runtime.readiness``) uses this to derive
-        which pseudo-labels a query *reads*: restricting the label map to
-        this set must leave the selection — and hence candidacy stats and
-        the rendered prompt — unchanged.  ``None`` means "unknown" (reads
-        everything), which disables dependency-driven dispatch for the
-        selector but never its correctness.
+        Restricting the label map to this set must leave the selection —
+        and hence candidacy stats and the rendered prompt — unchanged.  Two
+        consumers rely on it:
+
+        - ``MultiQueryEngine.select_neighbors`` memoises selections and
+          drops a node's memo only when a label inside its support is
+          added, so an unsound support silently corrupts every run, the
+          serial ones included.
+        - The readiness DAG (``repro.runtime.readiness``) dispatches a
+          next-round query once the labels it *reads* have settled.
+
+        ``None`` means "unknown" (reads everything): the engine then drops
+        the node's memo on every label add, and dependency-driven dispatch
+        is disabled for the selector, but correctness is kept.
         """
         return None
 

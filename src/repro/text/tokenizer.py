@@ -14,7 +14,9 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-_WORD_RE = re.compile(r"[A-Za-z0-9]+|[^\sA-Za-z0-9]")
+#: Whole words: ASCII alphanumeric runs, plus single non-ASCII characters
+#: that ``str.isalnum()`` accepts (``[^\W_]`` is exactly that class).
+_WORDS_RE = re.compile(r"[A-Za-z0-9]+|[^\W_A-Za-z0-9]")
 
 #: Maximum characters per sub-word piece.  Words longer than this are split
 #: into consecutive chunks, mimicking byte-pair encodings of rare words.
@@ -39,20 +41,18 @@ class Tokenizer:
             raise ValueError(f"max_piece_len must be >= 1, got {max_piece_len}")
         self.max_piece_len = max_piece_len
         self.lowercase = lowercase
+        # A greedy ``{1,n}`` run splits a long alphanumeric word into
+        # consecutive n-character chunks; every other non-space character
+        # is a token of its own.
+        self._tokens_re = re.compile(
+            rf"[A-Za-z0-9]{{1,{max_piece_len}}}|[^\sA-Za-z0-9]"
+        )
 
     def tokenize(self, text: str) -> list[str]:
         """Split ``text`` into tokens (sub-word pieces and punctuation)."""
         if self.lowercase:
             text = text.lower()
-        tokens: list[str] = []
-        for match in _WORD_RE.finditer(text):
-            piece = match.group(0)
-            if len(piece) <= self.max_piece_len:
-                tokens.append(piece)
-            else:
-                for start in range(0, len(piece), self.max_piece_len):
-                    tokens.append(piece[start : start + self.max_piece_len])
-        return tokens
+        return self._tokens_re.findall(text)
 
     def words(self, text: str) -> list[str]:
         """Split ``text`` into whole alphanumeric words (no sub-word pieces).
@@ -62,7 +62,7 @@ class Tokenizer:
         """
         if self.lowercase:
             text = text.lower()
-        return [m.group(0) for m in _WORD_RE.finditer(text) if m.group(0)[0].isalnum()]
+        return _WORDS_RE.findall(text)
 
     def count(self, text: str) -> int:
         """Number of tokens in ``text``."""

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.sampling import bfs_hops, k_hop_neighbors, partition_graph
 from repro.graph.tag import TextAttributedGraph
@@ -51,6 +53,63 @@ class TestBfsHops:
     def test_negative_hops(self, path_graph):
         with pytest.raises(ValueError):
             bfs_hops(path_graph, 0, -1)
+
+
+def _reference_bfs_hops(
+    graph: TextAttributedGraph, node: int, max_hops: int
+) -> dict[int, np.ndarray]:
+    """The original set-based BFS: one Python set union per frontier node."""
+    visited = {int(node)}
+    frontier = np.asarray([node], dtype=np.int64)
+    layers: dict[int, np.ndarray] = {}
+    for hop in range(1, max_hops + 1):
+        if frontier.size == 0:
+            break
+        candidates: set[int] = set()
+        for u in frontier:
+            candidates.update(int(v) for v in graph.neighbors(int(u)))
+        fresh = sorted(candidates - visited)
+        if not fresh:
+            break
+        layer = np.asarray(fresh, dtype=np.int64)
+        layers[hop] = layer
+        visited.update(fresh)
+        frontier = layer
+    return layers
+
+
+@st.composite
+def _graph_and_node(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n
+        )
+    )
+    unique = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    edges = np.asarray(unique, dtype=np.int64).reshape(-1, 2)
+    graph = TextAttributedGraph.from_edges(
+        num_nodes=n,
+        edges=edges,
+        labels=np.zeros(n, dtype=np.int64),
+        texts=[NodeText(f"t{i}", f"a{i}") for i in range(n)],
+        features=np.zeros((n, 1), dtype=np.float32),
+        class_names=["only"],
+    )
+    return graph, draw(st.integers(0, n - 1))
+
+
+class TestBfsOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_graph_and_node(), st.integers(min_value=0, max_value=6))
+    def test_matches_set_bfs(self, graph_and_node, max_hops):
+        graph, node = graph_and_node
+        got = bfs_hops(graph, node, max_hops)
+        expected = _reference_bfs_hops(graph, node, max_hops)
+        assert list(got) == list(expected)
+        for hop, layer in expected.items():
+            assert got[hop].dtype == layer.dtype
+            assert got[hop].tolist() == layer.tolist()
 
 
 class TestKHop:
