@@ -151,12 +151,16 @@ perfbench-smoke:
 		tail -n 1 .smoke/perfbench-$$workload.json | grep -q '"correct": true' || exit 1; \
 	done
 
-# Alternating parent/change pairs of one perfbench workload, e.g.
+# Alternating parent/change pairs of perfbench workloads, e.g.
 #   make perfbench-ab PARENT=main WORKLOAD=joint-cora PAIRS=10
-# Prints both sides' medians and quartiles, the win count and whether the
-# deterministic metrics matched per seed.  Not in CI: ten pairs take about
-# 20 minutes.
+#   make perfbench-ab PARENT=main WORKLOAD="serve-cora-overload:10 joint-cora:3"
+# WORKLOAD takes names, NAME:PAIRS, or all (the default).  Prints per
+# workload both sides' medians and quartiles, a within-bound / worse /
+# unresolved verdict per timed metric against BENCHMARK.json, the win count
+# and whether the deterministic metrics matched per seed.  Not in CI: ten
+# pairs of one workload take about 20 minutes.
 PAIRS ?= 10
+WORKLOAD ?= all
 
 perfbench-ab:
 	python3 benchmarks/ab_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)

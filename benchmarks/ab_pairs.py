@@ -1,30 +1,43 @@
-"""Alternating A/B pairs of one perfbench workload: a parent ref vs this tree.
+"""Alternating A/B pairs of perfbench workloads: a parent ref vs this tree.
 
-Checks the parent ref out with ``git worktree`` in a temporary directory,
-then runs ``perfbench/run.py --seconds 15 --trace 0`` once per side for each
-pair.  Pair ``i`` uses seed ``first_seed + i``; the parent runs first on
-odd pairs and second on even ones, so drift of the machine's load during
-the runs falls on both sides alike.  Each run reads its own checkout's
-``perfbench/run.py``.
+Exports the parent ref with ``git archive`` into a temporary directory,
+then, workload by workload, runs ``perfbench/run.py --seconds 15 --trace 0``
+once per side for each pair.  Pair ``i`` uses seed ``first_seed + i``; the
+parent runs first on odd pairs and second on even ones, so drift of the
+machine's load during the runs falls on both sides alike.  Each run reads
+its own tree's ``perfbench/run.py``.
 
-Prints each side's median and quartiles of the timed metrics, how many
-pairs the change won on ``queries_per_s``, whether the median gap exceeds the
-parent's interquartile range, and whether the deterministic end-to-end
-metrics (``BENCHMARK.json``'s non-timed ones) matched on every seed.
-Exits 1 if any run printed ``"correct": false``.  Ten pairs take about
-20 minutes, so it stays out of CI::
+``--workload`` takes one or more names, or ``all`` for every workload of
+``BENCHMARK.json``; ``NAME:PAIRS`` overrides ``--pairs`` for one workload.
+Per workload it prints each side's median and quartiles of the timed
+metrics, how many pairs the change won on ``queries_per_s``, whether the
+median gap exceeds the parent's interquartile range, and whether the
+deterministic end-to-end metrics (``BENCHMARK.json``'s non-timed ones)
+matched on every seed.  Each timed metric also gets a no-regression verdict
+against its ``BENCHMARK.json`` bound:
 
-    make perfbench-ab PARENT=<ref> WORKLOAD=joint-cora PAIRS=10
-    python3 benchmarks/ab_pairs.py --parent <ref> --workload joint-cora --pairs 10
+* *within bound* — the change's median is worse than the parent's by no
+  more than the bound, or every change run beats every parent run;
+* *worse* — it is worse by more than the bound;
+* *unresolved* — the parent's own interquartile range, relative to its
+  median, is wider than the bound, so the runs cannot tell.
+
+Exits 1 if any run printed ``"correct": false``.  Ten pairs of one workload
+take about 20 minutes, so it stays out of CI::
+
+    make perfbench-ab PARENT=<ref> WORKLOAD="serve-cora-overload:10 joint-cora:3"
+    python3 benchmarks/ab_pairs.py --parent <ref> --workload all --pairs 3
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -34,10 +47,8 @@ CLAIMED = "queries_per_s"
 SECONDS = 15
 
 
-def _deterministic() -> list[str]:
-    """``BENCHMARK.json``'s end-to-end metrics that are not timed."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return [m["name"] for m in spec["end_to_end"] if m["name"] not in TIMED]
+def _spec() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def _run(tree: Path, workload: str, seed: int) -> dict:
@@ -73,67 +84,82 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True, help="git ref of the baseline side")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument(
-        "--first-seed", type=int, default=0, help="seed of pair 0, e.g. a held-out one"
-    )
-    args = parser.parse_args(argv)
+def _verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """No-regression verdict of one timed metric against its relative bound."""
+    sign = 1.0 if better == "lower" else -1.0
+    if all(sign * new < sign * old for new in change for old in parent):
+        return "within bound"
+    q1, median, q3 = _quartiles(parent)
+    if (q3 - q1) / median > bound:
+        return "unresolved"
+    worse = sign * (statistics.median(change) - median) / median
+    return "worse" if worse > bound else "within bound"
 
-    deterministic = _deterministic()
+
+def _workloads(names: list[str], pairs: int, known: list[str]) -> list[tuple[str, int]]:
+    """``(workload, pairs)`` for each ``NAME[:PAIRS]`` argument, ``all`` expanded."""
+    chosen = []
+    for arg in names:
+        name, _, count = arg.partition(":")
+        count = int(count) if count else pairs
+        for workload in known if name == "all" else [name]:
+            if workload not in known:
+                raise SystemExit(f"unknown workload {workload!r}; known: {', '.join(known)}")
+            chosen.append((workload, count))
+    return chosen
+
+
+def _export(ref: str, dest: Path) -> None:
+    """Write the committed files of ``ref`` into ``dest``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", ref], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+
+
+def _compare(workload: str, pairs: int, parent_tree: Path, first_seed: int, spec: dict) -> bool:
+    """Run ``pairs`` alternating pairs of one workload and print its summary."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     correct = True
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
-        parent_tree = Path(tmp) / "tree"
-        subprocess.run(
-            ["git", "worktree", "add", "--detach", str(parent_tree), args.parent],
-            cwd=ROOT,
-            check=True,
-            capture_output=True,
-        )
-        try:
-            trees = {"parent": parent_tree, "change": ROOT}
-            for pair in range(args.pairs):
-                seed = args.first_seed + pair
-                order = ("parent", "change") if pair % 2 else ("change", "parent")
-                for side in order:
-                    out = _run(trees[side], args.workload, seed)
-                    out["seed"] = seed
-                    runs[side].append(out)
-                    correct &= bool(out["correct"])
-                    value = out["metrics"][CLAIMED]["value"]
-                    print(
-                        f"pair {pair} seed {seed} {side:6s} {CLAIMED}={value:.4g} "
-                        f"correct={out['correct']}",
-                        flush=True,
-                    )
-        finally:
-            subprocess.run(
-                ["git", "worktree", "remove", "--force", str(parent_tree)],
-                cwd=ROOT,
-                check=False,
-                capture_output=True,
+    trees = {"parent": parent_tree, "change": ROOT}
+    for pair in range(pairs):
+        seed = first_seed + pair
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            out = _run(trees[side], workload, seed)
+            out["seed"] = seed
+            runs[side].append(out)
+            correct &= bool(out["correct"])
+            value = out["metrics"][CLAIMED]["value"]
+            print(
+                f"{workload} pair {pair} seed {seed} {side:6s} {CLAIMED}={value:.4g} "
+                f"correct={out['correct']}",
+                flush=True,
             )
 
-    print(f"\n{args.workload}: {args.pairs} pairs, --seconds {SECONDS}")
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    print(f"\n{workload}: {pairs} pairs, --seconds {SECONDS}")
     for name in TIMED:
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
         for side in ("parent", "change"):
-            q1, median, q3 = _quartiles([r["metrics"][name]["value"] for r in runs[side]])
+            q1, median, q3 = _quartiles(values[side])
             print(f"  {name:14s} {side:6s} median {median:.4g}  quartiles [{q1:.4g}, {q3:.4g}]")
+        bound = metrics[name]["bound"]
+        verdict = _verdict(values["parent"], values["change"], metrics[name]["better"], bound)
+        print(f"  {name:14s} verdict: {verdict} (bound {bound:.0%})")
     values = {side: [r["metrics"][CLAIMED]["value"] for r in runs[side]] for side in runs}
     wins = sum(new > old for old, new in zip(values["parent"], values["change"]))
     q1, parent_median, q3 = _quartiles(values["parent"])
     change_median = statistics.median(values["change"])
     gap = change_median - parent_median
-    print(f"  change won {wins} of {args.pairs} pairs on {CLAIMED}")
+    print(f"  change won {wins} of {pairs} pairs on {CLAIMED}")
     print(
         f"  median gap {gap:.4g} vs parent IQR {q3 - q1:.4g}: "
         f"{'exceeds' if gap > q3 - q1 else 'does not exceed'}; "
         f"ratio {change_median / parent_median:.3g}x"
     )
+    deterministic = [name for name in metrics if name not in TIMED]
     mismatched = [
         (old["seed"], name)
         for old, new in zip(runs["parent"], runs["change"])
@@ -144,7 +170,30 @@ def main(argv=None) -> int:
         print(f"  deterministic metrics differ: {mismatched}")
     else:
         print(f"  deterministic metrics identical on every seed: {', '.join(deterministic)}")
-    print(f"  every run correct: {correct}")
+    print(f"  every run correct: {correct}\n", flush=True)
+    return correct
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="git ref of the baseline side")
+    parser.add_argument(
+        "--workload", nargs="+", default=["all"], help="NAME[:PAIRS] ... or all"
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--first-seed", type=int, default=0, help="seed of pair 0, e.g. a held-out one"
+    )
+    args = parser.parse_args(argv)
+
+    spec = _spec()
+    workloads = _workloads(args.workload, args.pairs, [w["name"] for w in spec["workloads"]])
+    correct = True
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
+        parent_tree = Path(tmp)
+        _export(args.parent, parent_tree)
+        for workload, pairs in workloads:
+            correct &= _compare(workload, pairs, parent_tree, args.first_seed, spec)
     return 0 if correct else 1
 
 

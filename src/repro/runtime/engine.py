@@ -30,7 +30,7 @@ from repro.llm.reliability import TransientLLMError, track_call_retries
 from repro.llm.responses import parse_category_response
 from repro.mqo.compression import PromptCompressor
 from repro.prompts.builder import NeighborEntry, PromptBuilder
-from repro.runtime.fallback import DegradationLadder
+from repro.runtime.fallback import PRUNED, SURROGATE, DegradationLadder, rungs_from
 from repro.runtime.results import QueryRecord, RunResult
 from repro.runtime.router import CascadeRouter
 from repro.runtime.scheduler import QueryScheduler, WorkItem, run_items
@@ -94,11 +94,10 @@ class MultiQueryEngine:
         dollars as well as tokens.
     compressor:
         Optional :class:`~repro.mqo.compression.PromptCompressor`.  When
-        set, queries executed with ``compress=True`` (and the ladder's
-        ``to_compressed`` rung) squeeze their neighbor prompt to the
-        compressor's token budget before the LLM call; records that
-        actually shrank are stamped ``compressed=True`` with outcome
-        ``degraded_compressed``.  ``None`` makes every compress request a
+        set, queries executed with ``compress=True`` squeeze their
+        neighbor prompt to the compressor's token budget before the LLM
+        call; records that actually shrank are stamped ``compressed=True``
+        with outcome ``degraded_compressed``.  ``None`` makes every compress request a
         no-op passthrough of the full prompt.
     """
 
@@ -370,60 +369,56 @@ class MultiQueryEngine:
             compressed=compressed,
         )
 
+    @staticmethod
+    def _primary_outcome(compressed: bool, call_retries: int) -> str:
+        """Outcome of a primary call that answered."""
+        if compressed:
+            return "degraded_compressed"
+        return "retried" if call_retries else "ok"
+
     def _degraded_record(
         self, node: int, include_neighbors: bool, round_index: int | None
     ) -> QueryRecord:
-        """Walk the degradation ladder after the primary LLM call failed."""
+        """Walk the degradation ladder after the primary LLM call failed.
+
+        The walk starts at the pruned rung, or at the surrogate rung for a
+        query that was already zero-shot.  It never enters the compressed
+        rung: a transient failure is a provider fault, not a price, and the
+        compressed rung only makes the same neighbor prompt cheaper.  The
+        pruned retry goes to ``self.llm``, never through the router.
+        """
         assert self.ladder is not None
-        if (
-            self.ladder.to_compressed
-            and include_neighbors
-            and self.compressor is not None
-        ):
-            # Tier 0: the compressed neighbor prompt — most of the evidence
-            # at a fraction of the tokens.  Only counts as a rung when the
-            # compressor actually shrank the prompt.
-            prompt, selected = self.build_prompt(node, include_neighbors=True)
-            compressed_prompt, changed = self._compress_prompt(prompt)
-            if changed:
-                try:
-                    with self.span("degrade_compressed", node=node):
-                        response = self.llm.complete(compressed_prompt)
-                except TransientLLMError:
-                    pass
-                else:
-                    return self._record_from_response(
-                        node,
-                        response,
-                        selected,
-                        False,
-                        round_index,
-                        "degraded_compressed",
-                        compressed=True,
-                    )
-        if self.ladder.to_pruned and include_neighbors:
-            # Tier 1: the cheap zero-shot prompt — still a real LLM answer.
-            prompt, _ = self.build_prompt(node, include_neighbors=False)
+        for rung in rungs_from(PRUNED if include_neighbors else SURROGATE):
+            if not rung.calls_llm:
+                break
+            prompt, selected, compressed = self.prepare_prompt(
+                node, rung.include_neighbors, rung.compress
+            )
             try:
-                with self.span("degrade_pruned", node=node):
+                with self.span(f"degrade_{rung.name}", node=node):
                     response = self.llm.complete(prompt)
             except TransientLLMError:
-                pass
-            else:
-                return self._record_from_response(
-                    node, response, [], True, round_index, "degraded_pruned"
-                )
+                continue
+            return self._record_from_response(
+                node,
+                response,
+                selected,
+                not rung.include_neighbors,
+                round_index,
+                f"degraded_{rung.name}",
+                compressed=compressed,
+            )
         return self._zero_token_record(node, round_index)
 
     def _zero_token_record(self, node: int, round_index: int | None) -> QueryRecord:
         """The ladder's zero-token tail: the surrogate, else an abstention."""
         if self.ladder.surrogate is not None:
-            # Tier 2: the surrogate MLP behind D(t_i), at zero token cost.
+            # The surrogate MLP behind D(t_i), at zero token cost.
             with self.span("degrade_surrogate", node=node):
                 label, confidence = self.ladder.surrogate_prediction(node)
             outcome = "degraded_surrogate"
         else:
-            # Tier 3: an explicit abstention beats an aborted run.
+            # An explicit abstention beats an aborted run.
             with self.span("abstain", node=node):
                 label, confidence = None, None
             outcome = "abstained"
@@ -464,17 +459,26 @@ class MultiQueryEngine:
         ``None`` degrades when the engine has a ladder and raises otherwise.
         """
         node = int(node)
-        if on_failure not in (None, "degrade", "raise"):
-            raise ValueError(f"on_failure must be 'degrade', 'raise' or None, got {on_failure!r}")
-        mode = on_failure or ("degrade" if self.ladder is not None else "raise")
-        if mode == "degrade" and self.ladder is None:
-            raise ValueError("on_failure='degrade' requires an engine degradation ladder")
+        mode = self.failure_mode(on_failure)
         return self._query_lifecycle(
             lambda: self._execute_inner(node, include_neighbors, round_index, mode, compress),
             node=node,
             round_index=round_index,
             zero_shot=not include_neighbors,
         )
+
+    def failure_mode(self, on_failure: str | None) -> str:
+        """Validate ``on_failure`` and resolve it to ``"degrade"`` or ``"raise"``.
+
+        ``None`` degrades when the engine has a ladder and raises otherwise;
+        an explicit ``"degrade"`` without a ladder is an error.
+        """
+        if on_failure not in (None, "degrade", "raise"):
+            raise ValueError(f"on_failure must be 'degrade', 'raise' or None, got {on_failure!r}")
+        mode = on_failure or ("degrade" if self.ladder is not None else "raise")
+        if mode == "degrade" and self.ladder is None:
+            raise ValueError("on_failure='degrade' requires an engine degradation ladder")
+        return mode
 
     def _query_lifecycle(self, produce, **span_attrs) -> QueryRecord:
         """Produce one record inside its ``query`` span and report it.
@@ -547,10 +551,6 @@ class MultiQueryEngine:
             if mode == "raise":
                 raise
             return self._degraded_record(node, include_neighbors, round_index)
-        if compressed:
-            outcome = "degraded_compressed"
-        else:
-            outcome = "retried" if call_retries else "ok"
         with self.span("parse", node=node):
             return self._record_from_response(
                 node,
@@ -558,7 +558,7 @@ class MultiQueryEngine:
                 selected,
                 not include_neighbors,
                 round_index,
-                outcome,
+                self._primary_outcome(compressed, call_retries),
                 compressed=compressed,
             )
 
@@ -620,10 +620,6 @@ class MultiQueryEngine:
         ``extra_span_attrs`` lets the readiness scheduler add its additive
         ``dag_*`` attributes (trace schema v3) without touching the record.
         """
-        if compressed:
-            outcome = "degraded_compressed"
-        else:
-            outcome = "retried" if call_retries else "ok"
         return self._query_lifecycle(
             lambda: self._record_from_response(
                 node,
@@ -631,7 +627,7 @@ class MultiQueryEngine:
                 selected,
                 not include_neighbors,
                 round_index,
-                outcome,
+                self._primary_outcome(compressed, call_retries),
                 compressed=compressed,
             ),
             node=node,
@@ -646,8 +642,6 @@ class MultiQueryEngine:
     ) -> QueryRecord:
         """Walk the degradation ladder for a query whose phase-1 call failed
         (thread-dispatch merge path; mirrors the serial degrade branch)."""
-        if self.ladder is None:
-            raise ValueError("degrading a failed query requires an engine degradation ladder")
         return self._query_lifecycle(
             lambda: self._degraded_record(node, include_neighbors, round_index),
             node=node,

@@ -1,25 +1,28 @@
-"""Graceful degradation: what to answer when the LLM will not.
+"""Graceful degradation: the one ladder of answer sources.
 
-When retries (and the circuit breaker) give up on a query, aborting the
-whole run wastes everything already spent.  The engine instead walks a
-*degradation ladder*:
+The paper's budget lever is an ordered list of answer sources, best
+fidelity first (:data:`RUNGS`):
 
-1. **Compressed prompt** (opt-in) — re-ask with the neighbor prompt
-   squeezed by :class:`~repro.mqo.compression.PromptCompressor`: the
-   lowest-relevance neighbor blocks are dropped to meet a token budget, so
-   most of the neighbor evidence survives at a fraction of the cost.
-2. **Pruned prompt** — re-ask with the cheap zero-shot (neighbor-free)
-   prompt; transient overload often admits smaller requests, and Table IV
-   shows the accuracy cost of dropping neighbor text is small.
-3. **Surrogate prediction** — answer from the surrogate MLP ``f_θ1`` (the
-   same classifier behind the inadequacy measure ``D(t_i)``), at zero token
-   cost.
-4. **Abstain** — record an explicit non-answer rather than raising.
+1. **Full prompt** — the node text plus its neighbor cues.
+2. **Compressed prompt** — the neighbor prompt squeezed by
+   :class:`~repro.mqo.compression.PromptCompressor`: the lowest-relevance
+   neighbor blocks are dropped to meet a token budget, so most of the
+   neighbor evidence survives at a fraction of the cost.  The rung exists
+   only on engines that carry a compressor.
+3. **Pruned prompt** — the cheap zero-shot (neighbor-free) prompt of
+   Sec. V-A; Table IV shows the accuracy cost of dropping neighbor text is
+   small.
+4. **Surrogate prediction** — the surrogate MLP ``f_θ1`` (the same
+   classifier behind the inadequacy measure ``D(t_i)``) at zero token
+   cost, or an explicit abstention when the ladder has no surrogate.
 
-Each tier stamps its name on the :class:`~repro.runtime.results.QueryRecord`
+Two walks share the list.  The serving layer's budget gate walks it from a
+request's admission pin and stops at the first rung it can afford; the
+engine walks it when the primary LLM call fails for good (retries
+exhausted, circuit open), starting at the pruned rung.  Each rung below
+full stamps its name on the :class:`~repro.runtime.results.QueryRecord`
 (``degraded_compressed`` / ``degraded_pruned`` / ``degraded_surrogate`` /
-``abstained``) so results report exactly how much fidelity a run lost to
-failures.
+``abstained``) so results report exactly how much fidelity a run lost.
 """
 
 from __future__ import annotations
@@ -57,28 +60,46 @@ class FeatureSurrogate:
         return self.classifier.predict_proba(features.astype(np.float64))
 
 
+@dataclass(frozen=True)
+class Rung:
+    """One answer source of the ladder.
+
+    An LLM rung sends the prompt form ``(include_neighbors, compress)``;
+    the surrogate rung (``calls_llm=False``) costs zero tokens.
+    """
+
+    name: str
+    include_neighbors: bool
+    compress: bool
+    calls_llm: bool = True
+
+
+FULL = Rung("full", include_neighbors=True, compress=False)
+COMPRESSED = Rung("compressed", include_neighbors=True, compress=True)
+PRUNED = Rung("pruned", include_neighbors=False, compress=False)
+SURROGATE = Rung("surrogate", include_neighbors=False, compress=False, calls_llm=False)
+
+#: The ladder, best fidelity first.
+RUNGS = (FULL, COMPRESSED, PRUNED, SURROGATE)
+
+
+def rungs_from(start: Rung) -> tuple[Rung, ...]:
+    """``start`` and every cheaper rung after it, in ladder order."""
+    return RUNGS[RUNGS.index(start) :]
+
+
 @dataclass
 class DegradationLadder:
-    """Configuration of the engine's fallback ladder.
+    """The engine's answer source below the LLM rungs.
 
     Parameters
     ----------
-    to_compressed:
-        Whether to first retry with a compressed neighbor prompt (requires
-        the engine to carry a :class:`~repro.mqo.compression.PromptCompressor`;
-        skipped for zero-shot queries and prompts already at/below budget).
-        Off by default to preserve the historical two-rung ladder.
-    to_pruned:
-        Whether to attempt the cheaper zero-shot prompt before giving up on
-        the LLM entirely (skipped when the query was already zero-shot).
     surrogate:
         Optional :class:`SurrogatePredictor`; when present, its argmax class
         (with its probability as confidence) answers queries the LLM could
         not.  ``None`` drops straight to abstention.
     """
 
-    to_compressed: bool = False
-    to_pruned: bool = True
     surrogate: SurrogatePredictor | None = None
 
     def surrogate_prediction(self, node: int) -> tuple[int, float]:

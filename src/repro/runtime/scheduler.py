@@ -306,8 +306,7 @@ class QueryScheduler:
         lines up with it exactly (minus deferred queries), replays included.
         """
         for item in items:
-            if item.on_failure not in (None, "degrade", "raise"):
-                raise ValueError(f"bad on_failure {item.on_failure!r} for node {item.node}")
+            engine.failure_mode(item.on_failure)
         wave_index = self._next_wave
         self._next_wave += 1
         fresh_items = [item for item in items if item.cached is None]
@@ -762,8 +761,7 @@ def merge_item(
             compressed=compressed,
         )
     else:
-        mode = item.on_failure or ("degrade" if engine.ladder is not None else "raise")
-        if mode == "raise":
+        if engine.failure_mode(item.on_failure) == "raise":
             if item.on_failure != "raise":
                 raise payload
             if item.on_defer is not None:

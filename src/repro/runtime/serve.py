@@ -32,10 +32,11 @@ The pipeline per request::
   (no starvation), and long-run throughput is weight-proportional.
 * **Budget gate**: before dispatch, the exact prompt token count (tokenizer
   only, no LLM spend — the same idiom as the engine's budget guard) is
-  checked against the tenant's ledger *and* the global ceiling: full prompt
-  first, then the pruned prompt, then the engine ladder's surrogate MLP at
-  zero tokens, then an explicit 429-style rejection.  Charges land on both
-  ledgers in canonical order after execution.
+  checked against the tenant's ledger *and* the global ceiling, walking the
+  shared rung list of :mod:`repro.runtime.fallback` from the admission pin:
+  full prompt, compressed prompt, pruned prompt, then the engine ladder's
+  surrogate MLP at zero tokens, then an explicit 429-style rejection.
+  Charges land on both ledgers in canonical order after execution.
 * **Determinism**: every decision runs on the engine's ``SimulatedClock``
   and pure data structures — same request stream + seed ⇒ bit-identical
   outcomes, ledgers, and trace, with or without a batched
@@ -59,6 +60,7 @@ import numpy as np
 from repro.core.budget import BudgetLedger, LedgerBook
 from repro.io.atomic import append_line_durable, atomic_write_text
 from repro.llm.pricing import PRICES_PER_1K_TOKENS, cache_discount_usd, cost_usd
+from repro.runtime.fallback import COMPRESSED, FULL, PRUNED, RUNGS, SURROGATE, Rung, rungs_from
 from repro.runtime.results import QueryRecord
 from repro.runtime.scheduler import WorkItem, execute_item
 from repro.utils.rng import spawn_rng
@@ -81,6 +83,14 @@ ADMISSION_DECISIONS = (
     "rejected_overload",
     "rejected_budget",
 )
+
+#: The rung each admission decision pins a queued request to: the highest
+#: fidelity the budget gate may consider at dispatch time.
+_ADMISSION_PINS = {
+    "admitted": FULL,
+    "admitted_compress": COMPRESSED,
+    "admitted_degraded": PRUNED,
+}
 
 #: Serve-level outcome statuses.  Every outcome also carries an explicit
 #: ``tier`` naming its rung: a record outcome tier
@@ -403,17 +413,24 @@ class ServeJournal:
             stored = envelope["crc"]
         except (json.JSONDecodeError, KeyError, TypeError):
             return None
-        blob = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        if zlib.crc32(blob.encode("utf-8")) != stored:
+        if ServeJournal._crc(entry) != stored:
             return None
         return entry
 
     # ---------------------------------------------------------------- writing
 
+    @staticmethod
+    def _crc(entry: dict) -> int:
+        """CRC32 of an entry's canonical JSON."""
+        return zlib.crc32(json.dumps(entry, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+
+    @staticmethod
+    def _envelope(entry: dict) -> str:
+        """One journal line (without its newline): the entry and its CRC."""
+        return json.dumps({"crc": ServeJournal._crc(entry), "entry": entry}, separators=(",", ":"))
+
     def _append(self, entry: dict) -> None:
-        blob = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        envelope = {"crc": zlib.crc32(blob.encode("utf-8")), "entry": entry}
-        append_line_durable(self.path, json.dumps(envelope, separators=(",", ":")))
+        append_line_durable(self.path, self._envelope(entry))
 
     def begin(self, requests: "list[ServeRequest]") -> None:
         """Bind the journal to ``requests`` (write or verify the header)."""
@@ -455,11 +472,8 @@ class ServeJournal:
         if self.header is None:
             raise JournalError("cannot truncate a journal with no header")
         self.cycles = self.cycles[:keep_cycles]
-        lines = []
-        for entry in [self.header] + [{"kind": "cycle", **c} for c in self.cycles]:
-            blob = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-            envelope = {"crc": zlib.crc32(blob.encode("utf-8")), "entry": entry}
-            lines.append(json.dumps(envelope, separators=(",", ":")))
+        entries = [self.header] + [{"kind": "cycle", **c} for c in self.cycles]
+        lines = [self._envelope(entry) for entry in entries]
         atomic_write_text(self.path, "\n".join(lines) + "\n")
 
 
@@ -576,6 +590,7 @@ class ServingLayer:
             {t.name: t.make_ledger() for t in tenants}, global_ledger=global_ledger
         )
         self.price_model = price_model
+        self._priced = price_model is not None and price_model.lower() in PRICES_PER_1K_TOKENS
         self.observer = observer if observer is not None else engine.observer
         self.chaos = chaos
         self._rr_index = 0
@@ -656,19 +671,12 @@ class ServingLayer:
                 dispatched_at=None,
                 completed_at=self.now,
             )
-        # The queue entry carries the admission *pin*: the highest fidelity
-        # the gate may consider at dispatch time.
-        pin = {
-            "admitted": "full",
-            "admitted_compress": "compress",
-            "admitted_degraded": "degrade",
-        }[decision]
-        state.queue.append((request, self.now, pin))
+        state.queue.append((request, self.now, _ADMISSION_PINS[decision]))
         return None
 
     # --------------------------------------------------------------- fairness
 
-    def _pick_wave(self) -> list[tuple[ServeRequest, float, str]]:
+    def _pick_wave(self) -> list[tuple[ServeRequest, float, Rung]]:
         """Drain up to ``wave_quota`` requests by deficit round-robin.
 
         Each cycle replenishes every backlogged tenant's deficit by its
@@ -686,7 +694,7 @@ class ServingLayer:
                 state.deficit += state.spec.weight
             else:
                 state.deficit = 0
-        picked: list[tuple[ServeRequest, float, str]] = []
+        picked: list[tuple[ServeRequest, float, Rung]] = []
         for name in order:
             state = self._tenants[name]
             while (
@@ -711,93 +719,55 @@ class ServingLayer:
 
     # ------------------------------------------------------------ budget gate
 
-    def _estimate_usd(self, prompt_tokens: int) -> float:
-        """Pre-call dollar estimate under ``price_model`` (0 when unpriced)."""
-        if self.price_model is None:
-            return 0.0
-        if self.price_model.lower() not in PRICES_PER_1K_TOKENS:
-            return 0.0
-        return cost_usd(
-            self.price_model, prompt_tokens, self.policy.completion_reserve
-        )
+    def _gate(self, request: ServeRequest, pin: Rung, pending: dict) -> Rung | None:
+        """Pick the best affordable rung for one request.
 
-    def _affordable(
-        self, tenant: str, cost: int, usd: float, pending: dict
-    ) -> bool:
-        """Ledger check that also counts this wave's not-yet-charged plans.
-
-        Requests of one dispatch cycle are gated before any of them charges,
-        so each check must add the wave's earlier reservations — otherwise a
-        single wave could jointly overdraw a nearly-dry ledger.
-        """
-        t_tokens, t_usd = pending.get(tenant, (0, 0.0))
-        if self.book.ledger(tenant).would_exceed(cost + t_tokens, usd + t_usd):
-            return False
-        if self.book.global_ledger is None:
-            return True
-        g_tokens, g_usd = pending.get(_GLOBAL, (0, 0.0))
-        return not self.book.global_ledger.would_exceed(cost + g_tokens, usd + g_usd)
-
-    @staticmethod
-    def _reserve(pending: dict, tenant: str, cost: int, usd: float) -> None:
-        for key in (tenant, _GLOBAL):
-            tokens_so_far, usd_so_far = pending.get(key, (0, 0.0))
-            pending[key] = (tokens_so_far + cost, usd_so_far + usd)
-
-    def _gate(
-        self, request: ServeRequest, pin: str, pending: dict
-    ) -> tuple[str, bool, bool] | None:
-        """Pick the cheapest affordable rung for one request.
-
-        ``pin`` is the admission-time fidelity cap (``"full"`` /
-        ``"compress"`` / ``"degrade"``).  Returns ``(tier,
-        include_neighbors, compress)`` for an LLM dispatch (reserving its
-        worst-case cost in ``pending`` for the rest of the wave),
-        ``("surrogate", False, False)`` for a ladder answer, or ``None``
-        when not even zero tokens are admissible (tenant or global ledger
-        dry).  The ladder is full → compressed → pruned → surrogate; the
-        compressed rung costs the *exact* deterministic compression of the
-        full prompt and only exists when the engine carries a compressor.
+        Walks the shared rung list (:data:`~repro.runtime.fallback.RUNGS`)
+        from ``pin``, the admission-time fidelity cap.  A zero-shot request
+        starts no higher than the pruned rung; the compressed rung exists
+        only when the engine carries a compressor, and a compressed pin on
+        an engine without one starts at full fidelity.  Each LLM rung is
+        priced at the exact token count of its prompt (the compressed rung
+        at the deterministic compression of the full prompt) plus the
+        completion reserve, in tokens and in dollars under ``price_model``,
+        against the tenant's and the global ledger.  The requests of one
+        cycle are all gated before any of them charges, so each check adds
+        the wave's earlier reservations in ``pending`` — otherwise one wave
+        could jointly overdraw a nearly-dry ledger.  The first affordable
+        rung reserves its cost there and is returned.  At the surrogate
+        rung the gate returns it when the engine has a degradation ladder,
+        else ``None`` (a ``rejected_budget``).
 
         Under a cluster, gating runs on the engine owning the request's
         node — its shard's label state is what the prompt will render.
         """
         engine = self._engine_for(request.node)
-        tokenizer = engine.llm.tokenizer
-        reserve = self.policy.completion_reserve
         tenant = request.tenant
-        if pin == "compress" and engine.compressor is None:
-            pin = "full"
-        want_full = request.include_neighbors and pin == "full"
-        if want_full:
-            prompt, _ = engine.build_prompt(request.node, include_neighbors=True)
-            cost = tokenizer.count(prompt) + reserve
-            usd = self._estimate_usd(cost - reserve)
-            if self._affordable(tenant, cost, usd, pending):
-                self._reserve(pending, tenant, cost, usd)
-                return ("full", True, False)
-        if (
-            request.include_neighbors
-            and pin in ("full", "compress")
-            and engine.compressor is not None
-        ):
-            prompt = engine.preview_prompt(
-                request.node, include_neighbors=True, compress=True
-            )
-            cost = tokenizer.count(prompt) + reserve
-            usd = self._estimate_usd(cost - reserve)
-            if self._affordable(tenant, cost, usd, pending):
-                self._reserve(pending, tenant, cost, usd)
-                return ("compressed", True, True)
-        prompt, _ = engine.build_prompt(request.node, include_neighbors=False)
-        cost = tokenizer.count(prompt) + reserve
-        usd = self._estimate_usd(cost - reserve)
-        if self._affordable(tenant, cost, usd, pending):
-            self._reserve(pending, tenant, cost, usd)
-            return ("pruned", False, False)
-        if engine.ladder is not None:
-            return ("surrogate", False, False)
-        return None
+        ledgers = {tenant: self.book.ledger(tenant), _GLOBAL: self.book.global_ledger}
+        if pin is COMPRESSED and engine.compressor is None:
+            pin = FULL
+        if not request.include_neighbors:
+            pin = max(pin, PRUNED, key=RUNGS.index)
+        for rung in rungs_from(pin):
+            if not rung.calls_llm:
+                break
+            if rung.compress and engine.compressor is None:
+                continue
+            prompt = engine.preview_prompt(request.node, rung.include_neighbors, rung.compress)
+            tokens = engine.llm.tokenizer.count(prompt)
+            reserve = self.policy.completion_reserve
+            usd = cost_usd(self.price_model, tokens, reserve) if self._priced else 0.0
+            cost = tokens + reserve
+            planned = {key: pending.get(key, (0, 0.0)) for key in ledgers}
+            if not any(
+                ledger is not None
+                and ledger.would_exceed(cost + planned[key][0], usd + planned[key][1])
+                for key, ledger in ledgers.items()
+            ):
+                for key, (tokens_so_far, usd_so_far) in planned.items():
+                    pending[key] = (tokens_so_far + cost, usd_so_far + usd)
+                return rung
+        return SURROGATE if engine.ladder is not None else None
 
     # --------------------------------------------------------------- dispatch
 
@@ -805,13 +775,8 @@ class ServingLayer:
         usd = record.cost_usd
         if usd is None:
             usd = 0.0
-            if (
-                self.price_model is not None
-                and self.price_model.lower() in PRICES_PER_1K_TOKENS
-            ):
-                usd = cost_usd(
-                    self.price_model, record.prompt_tokens, record.completion_tokens
-                )
+            if self._priced:
+                usd = cost_usd(self.price_model, record.prompt_tokens, record.completion_tokens)
         self.book.charge(tenant, record.total_tokens, usd=usd)
         if self.observer is not None:
             # Fires on journal replay too (replayed records re-charge the
@@ -820,9 +785,7 @@ class ServingLayer:
 
     def _shared_discount_usd(self, shared_tokens: int) -> float:
         """Dollar value of a prompt-cache credit under ``price_model``."""
-        if shared_tokens <= 0 or self.price_model is None:
-            return 0.0
-        if self.price_model.lower() not in PRICES_PER_1K_TOKENS:
+        if shared_tokens <= 0 or not self._priced:
             return 0.0
         return cache_discount_usd(self.price_model, shared_tokens)
 
@@ -915,18 +878,14 @@ class ServingLayer:
         dispatched_at = self.now
         cycle_index = self._cycles
         self._cycles += 1
-        plan: list[tuple[ServeRequest, float, str]] = []
+        plan: list[tuple[ServeRequest, float, Rung | None]] = []
         items: list[WorkItem] = []
         item_tenants: list[str] = []
         pending: dict = {}
         for request, queued_at, pin in picked:
             rung = self._gate(request, pin, pending)
-            if rung is None:
-                plan.append((request, queued_at, "rejected_budget"))
-                continue
-            tier, include, compress = rung
-            plan.append((request, queued_at, tier))
-            if tier != "surrogate":
+            plan.append((request, queued_at, rung))
+            if rung is not None and rung.calls_llm:
                 # Serve requests read no pseudo-labels (reads=∅), so under
                 # the DAG dispatch plan each admitted request is immediately
                 # ready: it joins the persistent in-flight worker timeline
@@ -936,8 +895,8 @@ class ServingLayer:
                 items.append(
                     WorkItem(
                         node=request.node,
-                        include_neighbors=include,
-                        compress=compress,
+                        include_neighbors=rung.include_neighbors,
+                        compress=rung.compress,
                         reads=frozenset(),
                     )
                 )
@@ -945,8 +904,8 @@ class ServingLayer:
         wave_records, wave_shared = self._execute_items(items, item_tenants)
         records = iter(zip(wave_records, wave_shared))
         outcomes = []
-        for request, queued_at, tier in plan:
-            if tier == "rejected_budget":
+        for request, queued_at, rung in plan:
+            if rung is None:
                 outcomes.append(
                     ServeOutcome(
                         request=request,
@@ -961,7 +920,7 @@ class ServingLayer:
                 )
                 continue
             shared = 0
-            if tier == "surrogate":
+            if not rung.calls_llm:
                 record = self._engine_for(request.node).surrogate_query(request.node)
             else:
                 record, shared = next(records)

@@ -10,6 +10,7 @@ from repro.llm.interface import LLMClient, LLMResponse
 from repro.llm.reliability import FlakyLLM, RetryingLLM, TransientLLMError
 from repro.llm.simulated import SimulatedLLM
 from repro.ml.mlp import MLPClassifier
+from repro.mqo.compression import PromptCompressor
 from repro.runtime.fallback import DegradationLadder, FeatureSurrogate
 from repro.runtime.results import OUTCOME_TIERS
 
@@ -78,6 +79,21 @@ class TestDegradationLadder:
         assert record.predicted_label is not None
         assert record.total_tokens > 0
 
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_failure_walk_skips_compressed_rung(
+        self, make_tiny_engine, tiny_llm, tiny_split, compress
+    ):
+        # A failed call is a provider fault, not a price: even with a
+        # compressor at hand the walk goes straight to the pruned prompt.
+        llm = FailFirstCallsLLM(tiny_llm, n=1)
+        engine = make_tiny_engine(
+            llm=llm, ladder=DegradationLadder(), compressor=PromptCompressor(target_ratio=0.5)
+        )
+        record = engine.execute_query(int(tiny_split.queries[0]), compress=compress)
+        assert record.outcome == "degraded_pruned"
+        assert record.pruned and not record.compressed
+        assert llm.calls == 2
+
     def test_degrades_to_surrogate(self, make_tiny_engine, tiny_llm, tiny_surrogate, tiny_split):
         engine = make_tiny_engine(
             llm=AlwaysDownLLM(tiny_llm), ladder=DegradationLadder(surrogate=tiny_surrogate)
@@ -90,7 +106,7 @@ class TestDegradationLadder:
 
     def test_degrades_to_abstain(self, make_tiny_engine, tiny_llm, tiny_split):
         engine = make_tiny_engine(
-            llm=AlwaysDownLLM(tiny_llm), ladder=DegradationLadder(to_pruned=False)
+            llm=AlwaysDownLLM(tiny_llm), ladder=DegradationLadder()
         )
         record = engine.execute_query(int(tiny_split.queries[0]))
         assert record.outcome == "abstained"
@@ -155,7 +171,7 @@ class TestBoostingUnderFailures:
     ):
         engine = make_tiny_engine(
             llm=AlwaysDownLLM(tiny_llm),
-            ladder=DegradationLadder(to_pruned=False, surrogate=tiny_surrogate),
+            ladder=DegradationLadder(surrogate=tiny_surrogate),
         )
         queries = tiny_split.queries[:15]
         result = QueryBoostingStrategy(max_deferrals=1).execute(engine, queries)

@@ -296,8 +296,8 @@ class TestServeCompressionRung:
         node = int(tiny_split.queries[0])
         for _ in range(4):
             assert layer.admit(ServeRequest("solo", node)) is None
-        pins = [pin for _, _, pin in layer._tenants["solo"].queue]
-        assert pins == ["full", "compress", "compress", "degrade"]
+        pins = [pin.name for _, _, pin in layer._tenants["solo"].queue]
+        assert pins == ["full", "compressed", "compressed", "pruned"]
 
     def _replay(self, make_tiny_engine, tiny_split, compressor):
         engine = make_tiny_engine(

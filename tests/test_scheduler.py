@@ -13,6 +13,7 @@ from repro.runtime.scheduler import (
     WaveStats,
     WorkItem,
     _chunks,
+    run_items,
 )
 
 from tests.equivalence import Scenario, assert_equivalent, run_scenario
@@ -98,6 +99,24 @@ class TestWaveDispatch:
         items = [WorkItem(node=int(tiny_split.queries[0]), on_failure="explode")]
         with pytest.raises(ValueError, match="on_failure"):
             engine.scheduler.run_wave(engine, items)
+
+    @pytest.mark.parametrize(
+        "dispatch",
+        [None, ("simulated", "wave"), ("threads", "wave"), ("threads", "dag")],
+        ids=["serial", "simulated", "threads", "threads-dag"],
+    )
+    def test_degrade_without_ladder_rejected_before_any_call(
+        self, make_tiny_engine, tiny_split, dispatch
+    ):
+        scheduler = None
+        if dispatch is not None:
+            mode, plan = dispatch
+            scheduler = QueryScheduler(max_concurrency=2, mode=mode, dispatch=plan)
+        engine = make_tiny_engine(scheduler=scheduler)
+        items = [WorkItem(node=int(n), on_failure="degrade") for n in tiny_split.queries[:4]]
+        with pytest.raises(ValueError, match="requires an engine degradation ladder"):
+            run_items(engine, items)
+        assert engine.llm.usage.num_queries == 0
 
     def test_records_in_canonical_order(self, make_tiny_engine, tiny_split):
         engine = make_tiny_engine(scheduler=QueryScheduler(max_batch_size=3, max_concurrency=2))
