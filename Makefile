@@ -4,7 +4,7 @@
 # it `pytest | tee` reports tee's exit status and swallows test failures.
 SHELL := /bin/bash
 
-.PHONY: install test test-parallel test-equivalence test-differential test-mqo coverage bench bench-check bench-tables report examples trace-smoke chaos-smoke analyze-smoke cluster-smoke perfbench-smoke perfbench-ab clean
+.PHONY: install test test-parallel test-equivalence test-differential test-mqo coverage bench bench-check bench-tables report examples trace-smoke chaos-smoke analyze-smoke cluster-smoke perfbench-smoke paper-smoke perfbench-ab clean
 
 # Line-coverage floor enforced by `make coverage` (and CI).
 COVERAGE_FLOOR := 80
@@ -151,19 +151,32 @@ perfbench-smoke:
 		tail -n 1 .smoke/perfbench-$$workload.json | grep -q '"correct": true' || exit 1; \
 	done
 
+# Paper-claim smoke: two of the paper benchmarks at their own scales, with
+# their own assertions — Fig. 3 (queries with labeled neighbors gain more
+# information than queries without) and Table VI (mean D(t_i) of saturated
+# queries below that of non-saturated ones on all five datasets).  About 10 s and 60 s on a
+# 2-core VM.
+paper-smoke:
+	PYTHONPATH=src pytest benchmarks/test_fig3_information_gain.py \
+		benchmarks/test_table6_inadequacy.py --benchmark-only -s
+
 # Alternating parent/change pairs of perfbench workloads, e.g.
 #   make perfbench-ab PARENT=main WORKLOAD=joint-cora PAIRS=10
 #   make perfbench-ab PARENT=main WORKLOAD="serve-cora-overload:10 joint-cora:3"
+#   make perfbench-ab PARENT=main WORKLOAD=joint-cora:10 CLAIM=setup_s
 # WORKLOAD takes names, NAME:PAIRS, or all (the default).  Prints per
 # workload both sides' medians and quartiles, a within-bound / worse /
 # unresolved verdict per timed metric against BENCHMARK.json, the win count
-# and whether the deterministic metrics matched per seed.  Not in CI: ten
+# on CLAIM (in the direction BENCHMARK.json calls better) and whether the
+# deterministic metrics matched per seed.  Not in CI: ten
 # pairs of one workload take about 20 minutes.
 PAIRS ?= 10
 WORKLOAD ?= all
+CLAIM ?= queries_per_s
 
 perfbench-ab:
-	python3 benchmarks/ab_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS)
+	python3 benchmarks/ab_pairs.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS) \
+		--claim $(CLAIM)
 
 examples:
 	python examples/quickstart.py

@@ -10,8 +10,10 @@ its own tree's ``perfbench/run.py``.
 ``--workload`` takes one or more names, or ``all`` for every workload of
 ``BENCHMARK.json``; ``NAME:PAIRS`` overrides ``--pairs`` for one workload.
 Per workload it prints each side's median and quartiles of the timed
-metrics, how many pairs the change won on ``queries_per_s``, whether the
-median gap exceeds the parent's interquartile range, and whether the
+metrics, how many pairs the change won on the claimed metric (``--claim``,
+default ``queries_per_s``; a win is a move in the direction its
+``BENCHMARK.json`` entry calls ``better``), whether the median gap in that
+direction exceeds the parent's interquartile range, and whether the
 deterministic end-to-end metrics (``BENCHMARK.json``'s non-timed ones)
 matched on every seed.  Each timed metric also gets a no-regression verdict
 against its ``BENCHMARK.json`` bound:
@@ -27,6 +29,7 @@ take about 20 minutes, so it stays out of CI::
 
     make perfbench-ab PARENT=<ref> WORKLOAD="serve-cora-overload:10 joint-cora:3"
     python3 benchmarks/ab_pairs.py --parent <ref> --workload all --pairs 3
+    python3 benchmarks/ab_pairs.py --parent <ref> --workload joint-cora:2 --claim setup_s
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMED = ("queries_per_s", "setup_s", "peak_rss_mb")
-CLAIMED = "queries_per_s"
 SECONDS = 15
 
 
@@ -118,7 +120,9 @@ def _export(ref: str, dest: Path) -> None:
         tar.extractall(dest)
 
 
-def _compare(workload: str, pairs: int, parent_tree: Path, first_seed: int, spec: dict) -> bool:
+def _compare(
+    workload: str, pairs: int, parent_tree: Path, first_seed: int, spec: dict, claim: str
+) -> bool:
     """Run ``pairs`` alternating pairs of one workload and print its summary."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     correct = True
@@ -131,9 +135,9 @@ def _compare(workload: str, pairs: int, parent_tree: Path, first_seed: int, spec
             out["seed"] = seed
             runs[side].append(out)
             correct &= bool(out["correct"])
-            value = out["metrics"][CLAIMED]["value"]
+            value = out["metrics"][claim]["value"]
             print(
-                f"{workload} pair {pair} seed {seed} {side:6s} {CLAIMED}={value:.4g} "
+                f"{workload} pair {pair} seed {seed} {side:6s} {claim}={value:.4g} "
                 f"correct={out['correct']}",
                 flush=True,
             )
@@ -148,12 +152,13 @@ def _compare(workload: str, pairs: int, parent_tree: Path, first_seed: int, spec
         bound = metrics[name]["bound"]
         verdict = _verdict(values["parent"], values["change"], metrics[name]["better"], bound)
         print(f"  {name:14s} verdict: {verdict} (bound {bound:.0%})")
-    values = {side: [r["metrics"][CLAIMED]["value"] for r in runs[side]] for side in runs}
-    wins = sum(new > old for old, new in zip(values["parent"], values["change"]))
+    sign = 1.0 if metrics[claim]["better"] == "higher" else -1.0
+    values = {side: [r["metrics"][claim]["value"] for r in runs[side]] for side in runs}
+    wins = sum(sign * (new - old) > 0 for old, new in zip(values["parent"], values["change"]))
     q1, parent_median, q3 = _quartiles(values["parent"])
     change_median = statistics.median(values["change"])
-    gap = change_median - parent_median
-    print(f"  change won {wins} of {pairs} pairs on {CLAIMED}")
+    gap = sign * (change_median - parent_median)
+    print(f"  change won {wins} of {pairs} pairs on {claim}")
     print(
         f"  median gap {gap:.4g} vs parent IQR {q3 - q1:.4g}: "
         f"{'exceeds' if gap > q3 - q1 else 'does not exceed'}; "
@@ -184,6 +189,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--first-seed", type=int, default=0, help="seed of pair 0, e.g. a held-out one"
     )
+    parser.add_argument(
+        "--claim",
+        choices=TIMED,
+        default="queries_per_s",
+        help="timed metric whose wins and median gap are counted",
+    )
     args = parser.parse_args(argv)
 
     spec = _spec()
@@ -193,7 +204,7 @@ def main(argv=None) -> int:
         parent_tree = Path(tmp)
         _export(args.parent, parent_tree)
         for workload, pairs in workloads:
-            correct &= _compare(workload, pairs, parent_tree, args.first_seed, spec)
+            correct &= _compare(workload, pairs, parent_tree, args.first_seed, spec, args.claim)
     return 0 if correct else 1
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from repro.graph.tag import TextAttributedGraph
 from repro.llm.interface import LLMClient
 from repro.llm.responses import parse_category_response
-from repro.ml.crossval import cross_val_proba, kfold_indices
+from repro.ml.crossval import cross_val_proba
 from repro.ml.linear import LinearRegression
 from repro.ml.metrics import entropy, misclassification_ratios
 from repro.ml.mlp import MLPClassifier
@@ -83,7 +83,6 @@ class TextInadequacyScorer:
         self.cv_folds = cv_folds
         self.regressor_l2 = regressor_l2
         self.seed = seed
-        self.fold_models_: list[MLPClassifier] | None = None
         self.final_model_: MLPClassifier | None = None
         self.regressor_: LinearRegression | None = None
         self.bias_ratios_: np.ndarray | None = None
@@ -91,15 +90,6 @@ class TextInadequacyScorer:
         self._graph: TextAttributedGraph | None = None
 
     # ------------------------------------------------------------------ fit
-
-    def _fit_fold_models(self, x: np.ndarray, y: np.ndarray, num_classes: int) -> None:
-        """Train one surrogate per fold; query-node probabilities average them."""
-        self.fold_models_ = []
-        for fold, (train, _) in enumerate(kfold_indices(x.shape[0], self.cv_folds, seed=self.seed)):
-            model = self.surrogate.clone()
-            model.seed = int(spawn_rng(self.seed, "inadequacy-fold", fold).integers(1 << 31))
-            model.fit(x[train], y[train], num_classes=num_classes)
-            self.fold_models_.append(model)
 
     def _sample_calibration(self, graph: TextAttributedGraph, labeled: np.ndarray) -> np.ndarray:
         """Random ``V_L^c``: up to ``calibration_per_class`` nodes per class."""
@@ -144,12 +134,11 @@ class TextInadequacyScorer:
         y = graph.labels[labeled]
         num_classes = graph.num_classes
 
-        # f_θ1 — the final surrogate (trained on all of V_L) scores query
-        # nodes; fold models provide honest CV probabilities for V_L itself.
+        # f_θ1 — one surrogate trained on all of V_L scores query nodes;
+        # k out-of-fold fits give honest probabilities for V_L itself.
         self.final_model_ = self.surrogate.clone()
         self.final_model_.seed = int(spawn_rng(self.seed, "inadequacy-final").integers(1 << 31))
         self.final_model_.fit(x, y, num_classes=num_classes)
-        self._fit_fold_models(x, y, num_classes)
         cv_probs = cross_val_proba(
             self.surrogate, x, y, num_classes, k=self.cv_folds, seed=self.seed
         )

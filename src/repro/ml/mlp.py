@@ -51,6 +51,8 @@ class MLPClassifier:
             raise ValueError("hidden sizes must be >= 1")
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
+        if batch_size is not None and batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1 or None, got {batch_size}")
         if not 0.0 <= dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {dropout}")
         if optimizer not in ("adam", "sgd"):

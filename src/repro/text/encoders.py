@@ -9,11 +9,25 @@ and the similarity ranking of the SNS neighbor selector.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 
 from repro.text.tokenizer import Tokenizer
+
+
+def _vocabulary_counts(tokenizer: Tokenizer, vocabulary: dict[str, int], doc: str, dim: int):
+    """``doc``'s vocabulary-word counts as a length-``dim`` row of integers.
+
+    Counts below 2**24 are exact in float32, so the row equals one ``+= 1.0``
+    per word.  Unknown words count in a spare column ``dim``.  The ids go in
+    an ``array``: NumPy caches freed blocks under 1 KiB, and one index array
+    per row fragmented the heap (+15 MB peak RSS on boost-cora-durable).
+    """
+    cols = array("q", map(vocabulary.get, tokenizer.words(doc), repeat(dim)))
+    return np.bincount(np.frombuffer(cols, dtype=np.int64), minlength=dim + 1)[:dim]
 
 
 class BagOfWordsEncoder:
@@ -53,13 +67,8 @@ class BagOfWordsEncoder:
             raise RuntimeError("encoder is not fitted; call fit() first")
         out = np.zeros((len(documents), self.dim), dtype=np.float32)
         for row, doc in enumerate(documents):
-            for word in self.tokenizer.words(doc):
-                col = self.vocabulary_.get(word)
-                if col is not None:
-                    if self.binary:
-                        out[row, col] = 1.0
-                    else:
-                        out[row, col] += 1.0
+            counts = _vocabulary_counts(self.tokenizer, self.vocabulary_, doc, self.dim)
+            out[row] = counts > 0 if self.binary else counts
         return out
 
     def fit_transform(self, documents: list[str]) -> np.ndarray:
@@ -98,10 +107,7 @@ class TfidfEncoder:
             raise RuntimeError("encoder is not fitted; call fit() first")
         out = np.zeros((len(documents), self.dim), dtype=np.float32)
         for row, doc in enumerate(documents):
-            for word in self.tokenizer.words(doc):
-                col = self.vocabulary_.get(word)
-                if col is not None:
-                    out[row, col] += 1.0
+            out[row] = _vocabulary_counts(self.tokenizer, self.vocabulary_, doc, self.dim)
         out *= self.idf_[None, :]
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         np.divide(out, norms, out=out, where=norms > 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,7 @@ from repro.core.inadequacy import TextInadequacyScorer
 from repro.ml.mlp import MLPClassifier
 
 
-@pytest.fixture(scope="module")
-def fitted_scorer(tiny_graph, tiny_split, tiny_builder, tiny_tag):
+def _fit_tiny_scorer(graph, split, builder, tag) -> TextInadequacyScorer:
     from repro.llm.simulated import SimulatedLLM
 
     scorer = TextInadequacyScorer(
@@ -18,15 +19,20 @@ def fitted_scorer(tiny_graph, tiny_split, tiny_builder, tiny_tag):
         calibration_per_class=8,
         seed=1,
     )
-    llm = SimulatedLLM(tiny_tag.vocabulary, name="gpt-3.5", seed=5)
-    scorer.fit(tiny_graph, tiny_split.labeled, llm, tiny_builder)
-    return scorer
+    llm = SimulatedLLM(tag.vocabulary, name="gpt-3.5", seed=5)
+    return scorer.fit(graph, split.labeled, llm, builder)
+
+
+@pytest.fixture(scope="module")
+def fitted_scorer(tiny_graph, tiny_split, tiny_builder, tiny_tag):
+    return _fit_tiny_scorer(tiny_graph, tiny_split, tiny_builder, tiny_tag)
 
 
 class TestFit:
     def test_components_fitted(self, fitted_scorer, tiny_graph):
-        assert fitted_scorer.fold_models_ is not None
-        assert len(fitted_scorer.fold_models_) == 3
+        assert fitted_scorer.final_model_ is not None
+        assert fitted_scorer.final_model_.weights_ is not None
+        assert fitted_scorer.final_model_.num_classes_ == tiny_graph.num_classes
         assert fitted_scorer.regressor_ is not None
         assert fitted_scorer.bias_ratios_.shape == (tiny_graph.num_classes,)
 
@@ -37,6 +43,30 @@ class TestFit:
 
     def test_bias_ratios_are_fractions(self, fitted_scorer):
         assert ((fitted_scorer.bias_ratios_ >= 0) & (fitted_scorer.bias_ratios_ <= 1)).all()
+
+    def test_fits_one_surrogate_plus_one_per_fold(
+        self, monkeypatch, tiny_graph, tiny_split, tiny_builder, tiny_tag
+    ):
+        """``final_model_`` plus ``cv_folds`` out-of-fold fits, and no others.
+
+        ``D(t_i)`` reads nothing else, so the scores must equal, byte for
+        byte, the ones recorded when the scorer also trained three unread
+        per-fold models.
+        """
+        fits = []
+        real_fit = MLPClassifier.fit
+
+        def counting_fit(model, *args, **kwargs):
+            fits.append(model.seed)
+            return real_fit(model, *args, **kwargs)
+
+        monkeypatch.setattr(MLPClassifier, "fit", counting_fit)
+        scorer = _fit_tiny_scorer(tiny_graph, tiny_split, tiny_builder, tiny_tag)
+        assert len(fits) == 1 + scorer.cv_folds
+        scores = scorer.score(tiny_split.queries)
+        assert scores.dtype == np.float64
+        digest = hashlib.sha256(scores.tobytes()).hexdigest()
+        assert digest == "b3692f77f135b08d3c729391d2af99155e9bcb39e364fc31fc3590ae152eabb4"
 
     def test_requires_enough_labeled(self, tiny_graph, tiny_builder, tiny_tag):
         from repro.llm.simulated import SimulatedLLM
@@ -72,7 +102,7 @@ class TestScore:
         with pytest.raises(RuntimeError):
             TextInadequacyScorer().score(tiny_split.queries)
 
-    def test_proba_averaged_over_folds(self, fitted_scorer, tiny_split):
+    def test_proba_rows_are_distributions(self, fitted_scorer, tiny_split):
         probs = fitted_scorer.predict_proba(tiny_split.queries[:5])
         assert probs.shape[0] == 5
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)

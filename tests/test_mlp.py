@@ -63,6 +63,19 @@ class TestFit:
             MLPClassifier().predict(np.ones((1, 3)))
 
 
+class TestValidation:
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_rejects_nonpositive_batch_size(self, batch_size):
+        """A batch below 1 would take no optimizer step (or fail mid-fit)."""
+        with pytest.raises(ValueError, match="batch_size"):
+            MLPClassifier(batch_size=batch_size)
+
+    def test_accepts_full_batch_and_positive_sizes(self):
+        x, y = blobs()
+        for batch_size in (None, 1, 7):
+            model = MLPClassifier(epochs=2, batch_size=batch_size).fit(x, y)
+            assert len(model.loss_history_) == 2
+
 class TestPredictProba:
     def test_rows_sum_to_one(self):
         x, y = blobs()
