@@ -686,7 +686,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             status = "identical to baseline" if demo.identical else "DIVERGED"
             print(
                 f"checkpoint : crashed mid-flush with {demo.records_at_crash} "
-                f"records written, recovered {demo.recovered_records} from .bak "
+                f"records written, recovered {demo.recovered_records} records "
                 f"({demo.recovery_reason}), {demo.duplicate_calls} duplicate "
                 f"calls, final run {status}"
             )

@@ -368,11 +368,12 @@ def run_checkpoint_demo(
     model: str = "gpt-3.5",
 ) -> CheckpointDemo:
     """Crash a checkpointed run at the plan's :class:`~repro.runtime.chaos.
-    CheckpointCrash` point (between tmp write and rename), then recover.
+    CheckpointCrash` point, then recover.
 
-    Proves the v5 durability story end-to-end: the crashed flush's previous
-    generation survives as ``.bak``, recovery restores it, the resumed run
-    re-issues LLM calls only for *unflushed* work, and the final records are
+    Proves the durability story end-to-end: a crash mid-append leaves a torn
+    delta line that recovery drops (a crash mid-compaction leaves the
+    ``.bak`` generation that recovery restores), the resumed run re-issues
+    LLM calls only for *unflushed* work, and the final records are
     byte-identical to an uninterrupted baseline.
     """
     from repro.io.runs import RunCheckpointer

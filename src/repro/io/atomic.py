@@ -17,11 +17,18 @@ the repo writes through it.  The ``before_replace`` hook exists for the
 chaos-injection subsystem (:mod:`repro.runtime.chaos`), which simulates a
 process dying *between* the tmp write and the rename to prove recovery
 works; production callers never pass it.
+
+Append-only logs (the serve journal, the checkpoint log) share one line
+codec: :func:`crc_line` envelopes an entry with the CRC32 of its canonical
+JSON, and :func:`read_crc_line` returns ``None`` for any line that is torn
+or corrupt, which a reader treats as the start of a torn tail.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import zlib
 from pathlib import Path
 from typing import Callable
 
@@ -97,6 +104,8 @@ def append_line_durable(path: str | Path, line: str) -> None:
     """
     path = Path(path)
     existed = path.exists()
+    if not existed:
+        path.parent.mkdir(parents=True, exist_ok=True)
     if not line.endswith("\n"):
         line += "\n"
     with open(path, "a", encoding="utf-8") as handle:
@@ -104,5 +113,44 @@ def append_line_durable(path: str | Path, line: str) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     if not existed:
-        path.parent.mkdir(parents=True, exist_ok=True)
         fsync_dir(path.parent)
+
+
+def canonical_json(value) -> str:
+    """``value`` as canonical JSON: sorted keys, no whitespace."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_crc(value) -> int:
+    """CRC32 of ``value``'s canonical JSON."""
+    return zlib.crc32(canonical_json(value).encode("utf-8"))
+
+
+def crc_line(entry: dict) -> str:
+    """One log line (without its newline): the entry and its CRC."""
+    return json.dumps({"crc": canonical_crc(entry), "entry": entry}, separators=(",", ":"))
+
+
+def crc_line_from_canonical(canonical: str) -> str:
+    """:func:`crc_line` for an entry already encoded as canonical JSON.
+
+    Lets a writer assemble the entry from cached canonical fragments
+    instead of encoding it again; :func:`read_crc_line` reads both forms.
+    """
+    return f'{{"crc":{zlib.crc32(canonical.encode("utf-8"))},"entry":{canonical}}}'
+
+
+def read_crc_line(line: str) -> dict | None:
+    """The entry of one :func:`crc_line` line, or ``None`` if torn or corrupt."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        envelope = json.loads(line)
+        entry = envelope["entry"]
+        stored = envelope["crc"]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return None
+    if canonical_crc(entry) != stored:
+        return None
+    return entry

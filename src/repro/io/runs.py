@@ -6,25 +6,32 @@ comparisons, cost extrapolation) without re-spending tokens.
 
 Checkpoints extend the same idea to *interrupted* runs: the executed records
 plus the published pseudo-label state persist incrementally, and a resumed
-run replays them without re-issuing a single LLM call.  Persistence is
-crash-safe end to end:
+run replays them without re-issuing a single LLM call.  A checkpoint (format
+v7) is an append-only log at one path, crash-safe end to end:
 
-* every write goes through :func:`repro.io.atomic.atomic_write_text`
-  (tmp + fsync + rename + directory fsync), so a crash mid-flush can never
-  surface a torn or zero-length "committed" file;
-* format v5 stamps a CRC32 per record plus a manifest checksum over the
-  whole state, so silent corruption (bit rot, truncation by a non-atomic
-  writer) is *detected* at load as :class:`CheckpointCorruptionError`
-  rather than deserialized into garbage;
-* each flush rotates the previous checkpoint to a ``.bak`` sibling, and
-  :class:`RunCheckpointer` automatically recovers from it when the main
-  file is corrupt or lost — resuming from the last verified-good state.
+* its first line is a **snapshot**: the whole state as one JSON document
+  with a CRC32 per record plus a manifest checksum, so silent corruption
+  (bit rot, truncation by a non-atomic writer) is *detected* at load as
+  :class:`CheckpointCorruptionError` rather than deserialized into garbage;
+* each later flush appends one **delta** line — the records and
+  pseudo-labels new since the previous flush, the completion flag and the
+  running record count — in the CRC envelope the serve journal uses
+  (:func:`repro.io.atomic.crc_line`), with a single fsync;
+* a **compaction** rewrites the log as one snapshot through
+  :func:`repro.io.atomic.atomic_write_text` (tmp + fsync + rename +
+  directory fsync) and rotates the previous file to a ``.bak`` sibling.
+  The first flush, :meth:`RunCheckpointer.mark_complete`, recovery and any
+  flush after an in-place edit of ``state.records`` compact, so a finished
+  checkpoint is one JSON document;
+* at load, the first delta line failing its CRC or record count marks a
+  torn tail: it and every later line are dropped, and
+  :class:`RunCheckpointer` re-establishes the verified prefix by
+  compaction.  A corrupt or missing snapshot falls back to ``.bak``.
 
-A flush encodes only the records appended since the previous one: each
-record's JSON fragment and CRC are computed once and cached on its
-:class:`CheckpointState`, and the document is assembled from those
-fragments.  Every flush still rewrites and fsyncs the whole file, so
-``flush_every`` still trades crash loss for fewer writes.
+Every record's JSON fragments and CRC are computed once and cached on its
+:class:`CheckpointState`; snapshots and delta lines are assembled from
+them, so a flush costs the records new since the previous one plus one
+fsync, whatever the length of the run.
 """
 
 from __future__ import annotations
@@ -37,7 +44,14 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.io.atomic import atomic_write_text
+from repro.io.atomic import (
+    append_line_durable,
+    atomic_write_text,
+    canonical_crc,
+    canonical_json,
+    crc_line_from_canonical,
+    read_crc_line,
+)
 from repro.runtime.results import QueryRecord, RunResult
 
 if TYPE_CHECKING:
@@ -59,8 +73,13 @@ if TYPE_CHECKING:
 # Version 6 added ``QueryRecord.compressed`` (the prompt-compression
 # degradation rung); older files load with the ``False`` default, which is
 # exactly what pre-compression records were.
-_FORMAT_VERSION = 6
-_SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6)
+# Version 7 made a checkpoint an append-only log: a version-7 snapshot
+# document, then one CRC-enveloped delta line per flush.  Its snapshot is
+# the version-6 document with the new number; run files changed only the
+# number.
+_FORMAT_VERSION = 7
+_SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
+_JSON = json.JSONDecoder()
 
 
 class CheckpointCorruptionError(ValueError):
@@ -85,25 +104,16 @@ def record_fields(record: QueryRecord) -> dict:
     return {name: getattr(record, name) for name in _RECORD_FIELDS}
 
 
-def _record_crc(record: dict) -> int:
-    """CRC32 of one record's canonical JSON (sorted keys, no whitespace)."""
-    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(blob.encode("utf-8"))
-
-
 def _manifest_crc(completed, pseudo_labels, record_crcs, num_records: int) -> int:
     """Checksum binding the record CRCs to the rest of the state."""
-    blob = json.dumps(
+    return canonical_crc(
         {
             "completed": completed,
             "pseudo_labels": pseudo_labels,
             "record_crcs": record_crcs,
             "num_records": num_records,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+        }
     )
-    return zlib.crc32(blob.encode("utf-8"))
 
 
 def _verify_payload(payload: dict, path: Path) -> None:
@@ -116,7 +126,7 @@ def _verify_payload(payload: dict, path: Path) -> None:
             f"({None if crcs is None else len(crcs)} CRCs for {len(records)} records)"
         )
     for index, (record, expected) in enumerate(zip(records, crcs)):
-        actual = _record_crc(record)
+        actual = canonical_crc(record)
         if actual != expected:
             raise CheckpointCorruptionError(
                 f"{path}: record {index} failed its CRC check "
@@ -133,26 +143,36 @@ def _verify_payload(payload: dict, path: Path) -> None:
         )
 
 
-def _load_payload(path: Path, kind: str) -> dict:
-    """Read, version-check and integrity-verify one persisted JSON payload."""
+def _load_payload(path: Path, kind: str) -> tuple[dict, str]:
+    """Read, version-check and integrity-verify one persisted JSON document.
+
+    Returns the payload and the text after it: a v7 checkpoint keeps its
+    delta lines there, and every other file must end with the document.
+    """
+    # Undecodable bytes become U+FFFD, which the writers never emit (their
+    # JSON is ASCII): in the document that is corruption, in a delta line
+    # the CRC check catches it.
+    text = path.read_bytes().decode("utf-8", errors="replace")
+    start = len(text) - len(text.lstrip())
     try:
-        text = path.read_text()
-    except UnicodeDecodeError as error:  # binary garbage where JSON should be
-        raise CheckpointCorruptionError(f"{path}: not a text file: {error}") from error
-    try:
-        payload = json.loads(text)
+        payload, end = _JSON.raw_decode(text, start)
     except json.JSONDecodeError as error:
         raise CheckpointCorruptionError(
             f"{path}: truncated or non-JSON {kind} file: {error}"
         ) from error
+    if "\ufffd" in text[start:end]:
+        raise CheckpointCorruptionError(f"{path}: not a text file")
     if not isinstance(payload, dict):
         raise CheckpointCorruptionError(f"{path}: {kind} payload is not an object")
     version = payload.get("format_version")
     if version not in _SUPPORTED_VERSIONS:
         raise ValueError(f"unsupported {kind} format version {version!r}")
+    rest = text[end:]
+    if rest.strip() and (version < 7 or kind != "checkpoint"):
+        raise CheckpointCorruptionError(f"{path}: trailing data after the {kind} document")
     if version >= 5:
         _verify_payload(payload, path)
-    return payload
+    return payload, rest
 
 
 def _decode_records(payload: dict, path: Path) -> list[QueryRecord]:
@@ -167,7 +187,7 @@ def _decode_records(payload: dict, path: Path) -> list[QueryRecord]:
 def save_run(result: RunResult, path: str | Path) -> Path:
     """Write ``result`` as checksummed JSON at ``path`` (atomic + durable)."""
     records = [record_fields(r) for r in result.records]
-    crcs = [_record_crc(r) for r in records]
+    crcs = [canonical_crc(r) for r in records]
     payload = {
         "format_version": _FORMAT_VERSION,
         "records": records,
@@ -184,7 +204,7 @@ def load_run(path: str | Path) -> RunResult:
     fails its v5 checksums.
     """
     path = Path(path)
-    payload = _load_payload(path, "run")
+    payload, _ = _load_payload(path, "run")
     return RunResult(_decode_records(payload, path))
 
 
@@ -217,31 +237,37 @@ def write_csv(result: RunResult, path: str | Path) -> Path:
 
 @dataclass
 class _EncodedRecords:
-    """Each checkpointed record's payload JSON fragment and CRC, encoded once.
+    """Each checkpointed record's JSON fragments and CRC, encoded once.
 
-    ``records`` holds the records the cache was built from; :meth:`sync`
-    keeps the longest prefix still identical (``is``) to the state's list,
-    so replacing or truncating ``CheckpointState.records`` re-encodes only
-    from the first changed position.
+    ``fragments`` hold the snapshot form (``json.dumps`` of the payload),
+    ``canonical`` the canonical form the record CRC covers and delta lines
+    embed.  ``records`` holds the records the cache was built from;
+    :meth:`sync` keeps the longest prefix still identical (``is``) to the
+    state's list, so replacing or truncating ``CheckpointState.records``
+    re-encodes only from the first changed position.
     """
 
     records: list[QueryRecord] = field(default_factory=list)
     fragments: list[str] = field(default_factory=list)
+    canonical: list[str] = field(default_factory=list)
     crcs: list[int] = field(default_factory=list)
 
-    def sync(self, records: list[QueryRecord]) -> None:
+    def sync(self, records: list[QueryRecord]) -> int:
+        """Encode ``records`` past the cached prefix; return that prefix's length."""
         keep = 0
         for cached, record in zip(self.records, records):
             if cached is not record:
                 break
             keep += 1
-        del self.records[keep:], self.fragments[keep:], self.crcs[keep:]
+        del self.records[keep:], self.fragments[keep:], self.canonical[keep:], self.crcs[keep:]
         for record in records[keep:]:
             payload = record_fields(record)
-            fragment, crc = json.dumps(payload), _record_crc(payload)
+            canonical = canonical_json(payload)
             self.records.append(record)
-            self.fragments.append(fragment)
-            self.crcs.append(crc)
+            self.fragments.append(json.dumps(payload))
+            self.canonical.append(canonical)
+            self.crcs.append(zlib.crc32(canonical.encode("utf-8")))
+        return keep
 
 
 @dataclass
@@ -254,11 +280,15 @@ class CheckpointState:
     nodes, boosting replays cached records through its (deterministic)
     scheduler so the round structure — and therefore every later prompt —
     matches the uninterrupted run exactly.
+
+    ``torn_tail`` says why :func:`load_checkpoint` dropped the delta lines
+    at the end of the file this state was loaded from (``None``: it did not).
     """
 
     records: list[QueryRecord] = field(default_factory=list)
     pseudo_labels: dict[int, int] = field(default_factory=dict)
     completed: bool = False
+    torn_tail: str | None = field(default=None, compare=False, repr=False)
     _encoded: _EncodedRecords = field(
         default_factory=_EncodedRecords, init=False, compare=False, repr=False
     )
@@ -275,7 +305,7 @@ def backup_path(path: str | Path) -> Path:
 
 
 def _checkpoint_text(state: CheckpointState) -> str:
-    """The current-version JSON document (with checksums) for ``state``.
+    """The snapshot document (with checksums) for ``state``.
 
     Assembled from the per-record fragments cached on ``state``, so only
     records new since the previous call are encoded; the text equals
@@ -299,20 +329,60 @@ def _checkpoint_text(state: CheckpointState) -> str:
     )
 
 
+def _delta_entry(state: CheckpointState, start: int, pseudo_labels: list) -> str:
+    """Canonical JSON of the delta entry carrying ``state.records[start:]``.
+
+    ``pseudo_labels`` are the ``(node, label)`` pairs recorded since the
+    previous flush, in order.  Assembled from the cached canonical record
+    fragments (``state``'s cache must be synced); the text equals
+    :func:`~repro.io.atomic.canonical_json` of the entry dict.
+    """
+    encoded = state._encoded
+    return (
+        f'{{"completed":{json.dumps(bool(state.completed))},"kind":"delta",'
+        f'"num_records":{len(encoded.records)},'
+        f'"pseudo_labels":{canonical_json(pseudo_labels)},'
+        f'"records":[{",".join(encoded.canonical[start:])}]}}'
+    )
+
+
+def _apply_delta(state: CheckpointState, entry, path: Path) -> bool:
+    """Apply one CRC-verified delta entry; False if it does not follow ``state``."""
+    if not isinstance(entry, dict) or entry.get("kind") != "delta":
+        return False
+    records = entry.get("records")
+    if not isinstance(records, list):
+        return False
+    if entry.get("num_records") != len(state.records) + len(records):
+        return False
+    try:
+        decoded = [QueryRecord(**record) for record in records]
+        pseudo = [(int(node), int(label)) for node, label in entry["pseudo_labels"]]
+        completed = bool(entry["completed"])
+    except (TypeError, ValueError, KeyError) as error:
+        raise CheckpointCorruptionError(
+            f"{path}: delta line no longer deserializes: {error}"
+        ) from error
+    state.records.extend(decoded)
+    state.pseudo_labels.update(pseudo)
+    state.completed = completed
+    return True
+
+
 def save_checkpoint(
     state: CheckpointState,
     path: str | Path,
     keep_backup: bool = True,
     before_replace: "Callable[[Path], None] | None" = None,
 ) -> Path:
-    """Durably write ``state`` at ``path`` (tmp + fsync + rename + dir fsync).
+    """Durably write ``state`` at ``path`` as one snapshot (a compaction).
 
-    With ``keep_backup`` (the default) the previous checkpoint generation is
-    rotated to ``path.bak`` just before the new file becomes visible, so at
-    every instant — including a crash between the two renames — at least one
-    verified-good generation exists on disk.  ``before_replace`` is the
-    chaos hook modelling a crash in that window (see
-    :func:`repro.io.atomic.atomic_write_text`).
+    Goes through tmp + fsync + rename + dir fsync.  With ``keep_backup``
+    (the default) the previous file is rotated to ``path.bak`` just before
+    the new one becomes visible, so at every instant — including a crash
+    between the two renames — at least one verified-good generation exists
+    on disk.  ``before_replace`` is the chaos hook modelling a crash in that
+    window (see :func:`repro.io.atomic.atomic_write_text`).
     """
     path = Path(path)
 
@@ -328,14 +398,16 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> CheckpointState:
-    """Load a checkpoint previously written by :func:`save_checkpoint`.
+    """Load a checkpoint written by :class:`RunCheckpointer` or :func:`save_checkpoint`.
 
-    v5 files are verified record-by-record; any checksum mismatch or
-    truncation raises :class:`CheckpointCorruptionError`.  Versions 1–4
-    predate checksums and load unverified.
+    The snapshot is verified record by record (v5+); any checksum mismatch
+    or truncation raises :class:`CheckpointCorruptionError`.  Versions 1–4
+    predate checksums and load unverified.  v7 delta lines apply in order
+    up to the first that fails its CRC or record count: that line and every
+    later one are a torn tail, dropped and explained in ``torn_tail``.
     """
     path = Path(path)
-    payload = _load_payload(path, "checkpoint")
+    payload, rest = _load_payload(path, "checkpoint")
     if payload.get("kind") != "checkpoint":
         raise ValueError(f"{path} is not a checkpoint file")
     try:
@@ -345,11 +417,20 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         raise CheckpointCorruptionError(
             f"{path}: checkpoint state no longer deserializes: {error}"
         ) from error
-    return CheckpointState(
+    state = CheckpointState(
         records=_decode_records(payload, path),
         pseudo_labels=pseudo,
         completed=completed,
     )
+    lines = [line for line in rest.split("\n") if line]
+    for index, line in enumerate(lines):
+        if not _apply_delta(state, read_crc_line(line), path):
+            state.torn_tail = (
+                f"delta line {index + 1} of {len(lines)} failed its CRC or "
+                f"record count; dropped it and every later line"
+            )
+            break
+    return state
 
 
 class RunCheckpointer:
@@ -366,27 +447,31 @@ class RunCheckpointer:
     flush_every:
         Persist after every N appended records.  ``1`` (the default) never
         loses an executed query to a crash; larger values trade crash
-        re-query cost for fewer writes on large runs.  A flush encodes only
-        the records appended since the previous flush, but still rewrites
-        and fsyncs the whole file.
+        re-query cost for fewer fsyncs.  A flush appends one delta line
+        holding only what changed since the previous flush and fsyncs it
+        once; the first flush, :meth:`mark_complete` and a flush after an
+        in-place edit of ``state.records`` compact the whole file instead.
     observer:
         Optional run observer; resume loads report ``on_checkpoint_loaded``,
-        every file write ``on_checkpoint_flush``, and backup-based recovery
-        ``on_checkpoint_recovered``.
+        every flush ``on_checkpoint_flush``, and recovery (a dropped torn
+        tail or a fallback to ``.bak``) ``on_checkpoint_recovered``.
     crash_hook:
-        Chaos/test hook forwarded to :func:`save_checkpoint` as
-        ``before_replace`` on every flush; raising from it simulates a
-        process dying between the tmp write and the rename.
+        Chaos/test hook.  A compacting flush forwards it to
+        :func:`save_checkpoint` as ``before_replace`` (called with the tmp
+        path just before the rename); a delta flush calls it with the log's
+        path once the line is durable.  Raising from it simulates the
+        process dying in that window.
 
     Corruption handling
     -------------------
-    If the main checkpoint is corrupt (or missing while a ``.bak``
-    survives — the crash-between-renames window), the checkpointer
-    automatically falls back to the last verified-good ``.bak`` generation,
-    re-establishes it as the main file, and resumes from there; at most
-    ``flush_every`` records (one generation) of work is re-queried.  Only
-    when *both* generations fail verification does construction raise
-    :class:`CheckpointCorruptionError`.
+    A torn or corrupt delta tail is dropped at load: the checkpointer
+    resumes from the last intact flush and compacts that state into place.
+    If the snapshot itself is corrupt (or the file is missing while a
+    ``.bak`` survives — a compaction's crash-between-renames window), it
+    falls back to the last verified-good ``.bak`` generation, re-establishes
+    it as the main file and resumes from there.  Either way :attr:`recovered`
+    is set.  Only when *both* generations fail verification does
+    construction raise :class:`CheckpointCorruptionError`.
     """
 
     def __init__(
@@ -403,14 +488,22 @@ class RunCheckpointer:
         self.observer = observer
         self.crash_hook = crash_hook
         self._pending = 0
-        self.state, self.recovered_from_backup = self._load_or_recover()
+        # Pseudo-labels recorded since the previous flush, in order.
+        self._pseudo: list[tuple[int, int]] = []
+        # Records the file holds while flushes may append to it; ``None``
+        # makes the next flush compact.
+        self._logged: int | None = None
+        # Written before the next delta line: the snapshot ends without one.
+        self._separator = "\n"
+        self.state = CheckpointState()
+        self.recovered = self._load_or_recover()
         self.resumed_records = len(self.state.records)
         self._nodes = {record.node for record in self.state.records}
         if observer is not None and self.resumed_records:
             observer.on_checkpoint_loaded(self.resumed_records, self.state.completed)
 
-    def _load_or_recover(self) -> tuple[CheckpointState, bool]:
-        """Load the main checkpoint, falling back to ``.bak`` on corruption."""
+    def _load_or_recover(self) -> bool:
+        """Load the checkpoint into :attr:`state`; True if it needed recovery."""
         bak = backup_path(self.path)
         # A crash can strand the tmp file; it is never authoritative.
         tmp = self.path.with_name(self.path.name + ".tmp")
@@ -418,33 +511,45 @@ class RunCheckpointer:
             tmp.unlink()
         if self.path.exists():
             try:
-                return load_checkpoint(self.path), False
+                self.state = load_checkpoint(self.path)
             except CheckpointCorruptionError as error:
-                state = self._recover_from(bak, str(error))
-                if state is None:
+                if not self._recover_from(bak, str(error)):
                     raise
-                return state, True
-        if bak.exists():
-            # Crash landed between the backup rotation and the new file's
-            # rename: the previous generation is the latest good state.
-            state = self._recover_from(bak, "main checkpoint missing after crash")
-            if state is not None:
-                return state, True
-        return CheckpointState(), False
+                return True
+            if self.state.torn_tail is None:
+                return False
+            self._reestablish(self.state.torn_tail)
+            return True
+        # Crash landed between the backup rotation and the new file's
+        # rename: the previous generation is the latest good state.
+        return self._recover_from(bak, "main checkpoint missing after crash")
 
-    def _recover_from(self, bak: Path, reason: str) -> CheckpointState | None:
+    def _recover_from(self, bak: Path, reason: str) -> bool:
         if not bak.exists():
-            return None
+            return False
         try:
-            state = load_checkpoint(bak)
+            self.state = load_checkpoint(bak)
         except CheckpointCorruptionError:
-            return None
-        # Re-establish the recovered generation as the main file (without
-        # rotating the corrupt file over the good backup).
-        save_checkpoint(state, self.path, keep_backup=False)
+            return False
+        # Don't rotate the corrupt main file over the good backup.
+        self._reestablish(reason, keep_backup=False)
+        return True
+
+    def _reestablish(self, reason: str, keep_backup: bool = True) -> None:
+        """Compact the recovered state into place and report the recovery."""
+        self._compact(keep_backup=keep_backup)
         if self.observer is not None:
-            self.observer.on_checkpoint_recovered(len(state.records), reason)
-        return state
+            self.observer.on_checkpoint_recovered(len(self.state.records), reason)
+
+    def _compact(
+        self, keep_backup: bool = True, before_replace: "Callable[[Path], None] | None" = None
+    ) -> None:
+        """Rewrite the file as one snapshot of :attr:`state`."""
+        save_checkpoint(
+            self.state, self.path, keep_backup=keep_backup, before_replace=before_replace
+        )
+        self._logged = len(self.state.records)
+        self._separator = "\n"
 
     @property
     def executed(self) -> dict[int, QueryRecord]:
@@ -467,15 +572,29 @@ class RunCheckpointer:
 
     def record_pseudo(self, node: int, label: int) -> None:
         """Persist one published pseudo-label (flushed with the next record)."""
-        self.state.pseudo_labels[int(node)] = int(label)
+        node, label = int(node), int(label)
+        self.state.pseudo_labels[node] = label
+        self._pseudo.append((node, label))
 
     def mark_complete(self) -> None:
-        """Stamp the run finished and flush; resume becomes a pure replay."""
+        """Stamp the run finished and compact: the file becomes one document."""
         self.state.completed = True
+        self._logged = None
         self.flush()
 
     def flush(self) -> None:
-        save_checkpoint(self.state, self.path, before_replace=self.crash_hook)
+        """Persist everything since the previous flush: one delta line, or a compaction."""
+        kept = self.state._encoded.sync(self.state.records)
+        if self._logged is None or kept < self._logged:
+            self._compact(before_replace=self.crash_hook)
+        else:
+            entry = _delta_entry(self.state, self._logged, self._pseudo)
+            append_line_durable(self.path, self._separator + crc_line_from_canonical(entry))
+            self._separator = ""
+            self._logged = len(self.state.records)
+            if self.crash_hook is not None:
+                self.crash_hook(self.path)
+        self._pseudo.clear()
         self._pending = 0
         if self.observer is not None:
             self.observer.on_checkpoint_flush(len(self.state.records))

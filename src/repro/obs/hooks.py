@@ -184,10 +184,10 @@ class RunObserver:
         """An existing checkpoint was loaded for resume."""
 
     def on_checkpoint_flush(self, num_records: int) -> None:
-        """The checkpoint file was (re)written with ``num_records`` records."""
+        """A checkpoint flush persisted ``num_records`` records."""
 
     def on_checkpoint_recovered(self, num_records: int, reason: str) -> None:
-        """A corrupt/lost checkpoint was recovered from its ``.bak`` backup."""
+        """A checkpoint load dropped a torn tail or fell back to ``.bak``."""
 
     # ------------------------------------------------------------------ chaos
 

@@ -378,13 +378,13 @@ class Instrumentation(RunObserver):
 
     def on_checkpoint_flush(self, num_records: int) -> None:
         self.registry.counter(
-            "repro_checkpoint_flushes_total", "Checkpoint file writes", **self.labels
+            "repro_checkpoint_flushes_total", "Checkpoint flushes", **self.labels
         ).inc()
 
     def on_checkpoint_recovered(self, num_records: int, reason: str) -> None:
         self.registry.counter(
             "repro_checkpoint_recoveries_total",
-            "Checkpoint loads recovered from the .bak generation",
+            "Checkpoint loads that dropped a torn tail or fell back to .bak",
             **self.labels,
         ).inc()
         self.tracer.event(

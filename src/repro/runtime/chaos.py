@@ -28,8 +28,9 @@ The pieces:
   :meth:`~ChaosController.attach_cache` installs cache read corruption and
   eviction storms on a :class:`~repro.llm.caching.CachingLLM`;
   :meth:`~ChaosController.scheduler_injector` kills/stalls threads-mode
-  workers; :meth:`~ChaosController.checkpoint_crash_hook` dies between a
-  checkpoint's tmp write and rename; :meth:`~ChaosController.apply_floods`
+  workers; :meth:`~ChaosController.checkpoint_crash_hook` dies mid-flush
+  of a checkpoint (between a compaction's tmp write and rename, or with a
+  delta line torn on disk); :meth:`~ChaosController.apply_floods`
   swells a serve request stream with a tenant's burst traffic.
 * **Transparency contract** — with an empty plan (or outside every fault
   window) the injectors are exact pass-throughs: no extra RNG draw, no clock
@@ -74,6 +75,14 @@ class SimulatedCrash(RuntimeError):
     Raised out of the checkpoint crash hook; tests and the chaos CLI catch
     it where a real deployment would restart, then prove recovery.
     """
+
+
+def _tear_last_line(path) -> None:
+    """Cut ``path``'s last line in half: what a crash mid-append leaves."""
+    data = path.read_bytes()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    with open(path, "rb+") as handle:
+        handle.truncate(start + (len(data) - start) // 2)
 
 
 def mutate_text(text: str, mode: str, rng) -> str:
@@ -269,11 +278,14 @@ class WorkerCrash:
 
 @dataclass(frozen=True)
 class CheckpointCrash:
-    """The process "dies" between a checkpoint's tmp write and its rename.
+    """The process "dies" in the middle of a checkpoint flush.
 
     Fires on the ``flush_index``-th flush (0-based, counted per
-    controller), after the previous generation was rotated to ``.bak`` —
-    the narrowest window, which v5 recovery must cover.
+    controller).  A compacting flush dies between its tmp write and the
+    rename, after the previous generation was rotated to ``.bak``, so
+    recovery must fall back to ``.bak``.  A delta flush dies with its
+    appended line torn halfway, so recovery must drop the torn tail and
+    resume from the previous flush.
     """
 
     kind: ClassVar[str] = "checkpoint_crash"
@@ -687,19 +699,29 @@ class ChaosController:
         return SchedulerFaultInjector(self)
 
     def checkpoint_crash_hook(self) -> Callable:
-        """``RunCheckpointer(crash_hook=...)`` hook dying on planned flushes."""
+        """``RunCheckpointer(crash_hook=...)`` hook dying on planned flushes.
+
+        The checkpointer calls it with a compaction's tmp file (rename still
+        pending) or with the log a delta line was just appended to; in the
+        second case the hook tears that line before dying.
+        """
         crashes = self.plan.of_type(CheckpointCrash)
 
-        def hook(tmp_path) -> None:
+        def hook(path) -> None:
             with self._lock:
                 flush_index = self._flush_count
                 self._flush_count += 1
             for fault in crashes:
                 if fault.flush_index == flush_index:
                     self.note("checkpoint_crash", "checkpoint", f"flush={flush_index}")
+                    if path.name.endswith(".tmp"):
+                        window = "tmp written, rename pending"
+                    else:
+                        _tear_last_line(path)
+                        window = "delta line torn"
                     raise SimulatedCrash(
                         f"chaos killed the process during checkpoint flush "
-                        f"{flush_index} (tmp written, rename pending)"
+                        f"{flush_index} ({window})"
                     )
 
         return hook

@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.budget import BudgetLedger, LedgerBook
-from repro.io.atomic import append_line_durable, atomic_write_text
+from repro.io.atomic import append_line_durable, atomic_write_text, crc_line, read_crc_line
 from repro.llm.pricing import PRICES_PER_1K_TOKENS, cache_discount_usd, cost_usd
 from repro.runtime.fallback import COMPRESSED, FULL, PRUNED, RUNGS, SURROGATE, Rung, rungs_from
 from repro.runtime.results import QueryRecord
@@ -375,7 +375,7 @@ class ServeJournal:
         entries: list[dict] = []
         torn = False
         for line in text.splitlines(keepends=True):
-            entry = self._decode(line)
+            entry = read_crc_line(line)
             if entry is None:
                 torn = True
                 break
@@ -402,35 +402,10 @@ class ServeJournal:
                 )
             self.cycles.append(entry)
 
-    @staticmethod
-    def _decode(line: str) -> dict | None:
-        line = line.strip()
-        if not line:
-            return None
-        try:
-            envelope = json.loads(line)
-            entry = envelope["entry"]
-            stored = envelope["crc"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            return None
-        if ServeJournal._crc(entry) != stored:
-            return None
-        return entry
-
     # ---------------------------------------------------------------- writing
 
-    @staticmethod
-    def _crc(entry: dict) -> int:
-        """CRC32 of an entry's canonical JSON."""
-        return zlib.crc32(json.dumps(entry, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-
-    @staticmethod
-    def _envelope(entry: dict) -> str:
-        """One journal line (without its newline): the entry and its CRC."""
-        return json.dumps({"crc": ServeJournal._crc(entry), "entry": entry}, separators=(",", ":"))
-
     def _append(self, entry: dict) -> None:
-        append_line_durable(self.path, self._envelope(entry))
+        append_line_durable(self.path, crc_line(entry))
 
     def begin(self, requests: "list[ServeRequest]") -> None:
         """Bind the journal to ``requests`` (write or verify the header)."""
@@ -473,7 +448,7 @@ class ServeJournal:
             raise JournalError("cannot truncate a journal with no header")
         self.cycles = self.cycles[:keep_cycles]
         entries = [self.header] + [{"kind": "cycle", **c} for c in self.cycles]
-        lines = [self._envelope(entry) for entry in entries]
+        lines = [crc_line(entry) for entry in entries]
         atomic_write_text(self.path, "\n".join(lines) + "\n")
 
 

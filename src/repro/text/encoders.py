@@ -30,6 +30,28 @@ def _vocabulary_counts(tokenizer: Tokenizer, vocabulary: dict[str, int], doc: st
     return np.bincount(np.frombuffer(cols, dtype=np.int64), minlength=dim + 1)[:dim]
 
 
+#: Rows squared per block by :func:`_normalize_rows`.
+_NORM_BLOCK_ROWS = 256
+
+
+def _normalize_rows(out: np.ndarray) -> None:
+    """Scale ``out``'s rows to unit L2 norm in place; all-zero rows stay zero.
+
+    Bit for bit ``out / np.linalg.norm(out, axis=1, keepdims=True)``, which
+    squares the whole matrix into a temporary of its size (14.8 MiB on
+    cora); here one ``_NORM_BLOCK_ROWS``-row buffer is reused instead.
+    """
+    norms = np.empty((len(out), 1), dtype=out.dtype)
+    squares = np.empty((min(len(out), _NORM_BLOCK_ROWS), out.shape[1]), dtype=out.dtype)
+    for start in range(0, len(out), _NORM_BLOCK_ROWS):
+        block = out[start : start + _NORM_BLOCK_ROWS]
+        buf = squares[: len(block)]
+        np.multiply(block, block, out=buf)
+        np.add.reduce(buf, axis=1, out=norms[start : start + len(block), 0])
+    np.sqrt(norms, out=norms)
+    np.divide(out, norms, out=out, where=norms > 0)
+
+
 class BagOfWordsEncoder:
     """Binary/count bag-of-words over the ``dim`` most frequent words.
 
@@ -109,8 +131,7 @@ class TfidfEncoder:
         for row, doc in enumerate(documents):
             out[row] = _vocabulary_counts(self.tokenizer, self.vocabulary_, doc, self.dim)
         out *= self.idf_[None, :]
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
-        np.divide(out, norms, out=out, where=norms > 0)
+        _normalize_rows(out)
         return out
 
     def fit_transform(self, documents: list[str]) -> np.ndarray:
@@ -263,8 +284,7 @@ class HashingEncoder:
             for word in self.tokenizer.words(doc):
                 col, sign = self._bucket(word)
                 out[row, col] += sign
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
-        np.divide(out, norms, out=out, where=norms > 0)
+        _normalize_rows(out)
         return out
 
     def fit(self, documents: list[str]) -> "HashingEncoder":

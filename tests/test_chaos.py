@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.io.runs import RunCheckpointer
+from repro.io.runs import RunCheckpointer, load_checkpoint
 from repro.llm.caching import CachingLLM
 from repro.llm.reliability import (
     InjectedFaultError,
@@ -389,7 +389,7 @@ class TestCheckpointCrash:
         chaos = controller(plan)
         checker = ChaosInvariantChecker()
         engine = make_tiny_engine()
-        with pytest.raises(SimulatedCrash, match="rename pending"):
+        with pytest.raises(SimulatedCrash, match="delta line torn"):
             engine.run(
                 nodes,
                 checkpointer=RunCheckpointer(
@@ -398,11 +398,11 @@ class TestCheckpointCrash:
             )
         assert chaos.fault_counts() == {"checkpoint_crash": 1}
 
-        # The crash hit between tmp write and rename: the main file was
-        # already rotated away, so only the .bak generation survives.
+        # Flush 3 appends a delta line and the crash tears it: recovery
+        # drops the torn tail and resumes from flush 2.
         resumed_llm = SimulatedLLM(tiny_tag.vocabulary, name="gpt-3.5", seed=5)
         checkpointer = RunCheckpointer(path, observer=checker)
-        assert checkpointer.recovered_from_backup
+        assert checkpointer.recovered
         assert checkpointer.resumed_records == 3, "last verified-good generation"
         assert checker.checkpoint_recoveries, "recovery reported to the observer"
 
@@ -412,6 +412,37 @@ class TestCheckpointCrash:
             "exactly the lost generation is re-queried"
         )
         checker.verify(checkpoint=RunCheckpointer(path).state, result=result)
+
+
+    def test_crash_mid_compaction_recovers_from_backup(
+        self, make_tiny_engine, tiny_split, tiny_tag, tmp_path
+    ):
+        nodes = [int(v) for v in tiny_split.queries[:6]]
+        baseline = make_tiny_engine().run(nodes)
+
+        path = tmp_path / "checkpoint.json"
+        # Flushes 0-5 persist the six records; flush 6 is mark_complete's
+        # compaction, which dies after rotating the log to .bak.
+        chaos = controller(FaultPlan(faults=(CheckpointCrash(flush_index=len(nodes)),)))
+        with pytest.raises(SimulatedCrash, match="rename pending"):
+            make_tiny_engine().run(
+                nodes,
+                checkpointer=RunCheckpointer(path, crash_hook=chaos.checkpoint_crash_hook()),
+            )
+        assert not path.exists()
+
+        checker = ChaosInvariantChecker()
+        resumed_llm = SimulatedLLM(tiny_tag.vocabulary, name="gpt-3.5", seed=5)
+        checkpointer = RunCheckpointer(path, observer=checker)
+        assert checkpointer.recovered
+        assert checkpointer.resumed_records == len(nodes)
+        assert not checkpointer.state.completed
+        assert checker.checkpoint_recoveries[0][1] == "main checkpoint missing after crash"
+
+        result = make_tiny_engine(llm=resumed_llm).run(nodes, checkpointer=checkpointer)
+        assert result.records == baseline.records
+        assert resumed_llm.usage.num_queries == 0, "every record was in the .bak log"
+        assert load_checkpoint(path).completed
 
 
 # ------------------------------------------------------------- tenant floods
@@ -536,6 +567,14 @@ class TestJournalCrashResume:
         assert len(ServeJournal(path).cycles) > keep, (
             "the resumed run re-journals the live suffix"
         )
+
+    def test_journal_in_a_new_directory(self, tiny_tag, tiny_split, tiny_builder, tmp_path):
+        from repro.runtime.serve import ServeJournal
+
+        scenario = ServeScenario(num_requests=6, arrival_window=2.0)
+        path = tmp_path / "new" / "dir" / "journal.jsonl"
+        run_serve_scenario(scenario, tiny_tag, tiny_split, tiny_builder, journal_path=path)
+        assert ServeJournal(path).cycles, "the first append created the directory"
 
     def test_truncate_validates(self, tmp_path):
         from repro.runtime.serve import JournalError, ServeJournal

@@ -159,7 +159,7 @@ class TestCheckpointCrashUnderDag:
         chaos = ChaosController(FaultPlan(faults=(CheckpointCrash(flush_index=3),)))
         checker = ChaosInvariantChecker()
         engine = make_tiny_engine(scheduler=dag_scheduler(mode=mode))
-        with pytest.raises(SimulatedCrash, match="rename pending"):
+        with pytest.raises(SimulatedCrash, match="delta line torn"):
             engine.run(
                 nodes,
                 checkpointer=RunCheckpointer(
@@ -173,7 +173,7 @@ class TestCheckpointCrashUnderDag:
 
         resumed_llm = SimulatedLLM(tiny_tag.vocabulary, name="gpt-3.5", seed=5)
         checkpointer = RunCheckpointer(path, observer=checker)
-        assert checkpointer.recovered_from_backup
+        assert checkpointer.recovered
         assert checkpointer.resumed_records == 3, "last verified-good generation"
 
         resume_scheduler = dag_scheduler(mode=mode)

@@ -80,7 +80,7 @@ class TestCorruptCheckpointRecovery:
     def test_recovers_to_last_good_generation(self, tmp_path, fixture):
         path = self.stage(tmp_path, fixture)
         checkpointer = RunCheckpointer(path)
-        assert checkpointer.recovered_from_backup
+        assert checkpointer.recovered
         assert checkpointer.resumed_records == 1
         assert checkpointer.state.records[0].node == 5
         # Recovery re-established a loadable main file.
@@ -99,7 +99,7 @@ class TestCorruptCheckpointRecovery:
         path = self.stage(tmp_path, TRUNCATED)
         path.unlink()
         checkpointer = RunCheckpointer(path)
-        assert checkpointer.recovered_from_backup
+        assert checkpointer.recovered
         assert checkpointer.resumed_records == 1
 
 

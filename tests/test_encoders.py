@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.datasets import load_dataset
+from repro.text import encoders
 from repro.text.encoders import BagOfWordsEncoder, HashingEncoder, TfidfEncoder
 
 DOCS = [
@@ -214,3 +215,30 @@ class TestBincountOracle:
         assert features.shape == (2708, 1433) and features.dtype == np.float32
         digest = hashlib.sha256(np.ascontiguousarray(features).tobytes()).hexdigest()
         assert digest == "1a7049472f6b4f71f1db90616de90355d895d8c22d4bb9f0d80c55486c5d616a"
+
+
+BLOCK = encoders._NORM_BLOCK_ROWS
+
+
+class TestRowNormOracle:
+    """The blocked row normalisation equals dividing by ``np.linalg.norm``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1])
+        | st.integers(0, 3 * BLOCK),
+        cols=st.integers(1, 7),
+        scale=st.sampled_from([1e-30, 1e-3, 1.0, 1e3, 1e15]),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_linalg_norm(self, rows, cols, scale, zero_share, seed):
+        rng = np.random.default_rng(seed)
+        matrix = (rng.standard_normal((rows, cols)) * scale).astype(np.float32)
+        matrix[rng.random(rows) < zero_share] = 0.0  # all-zero rows stay zero
+        expected = matrix.copy()
+        norms = np.linalg.norm(expected, axis=1, keepdims=True)
+        np.divide(expected, norms, out=expected, where=norms > 0)
+        encoders._normalize_rows(matrix)
+        assert matrix.dtype == np.float32
+        assert np.array_equal(matrix, expected, equal_nan=True)

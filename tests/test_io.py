@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.io.atomic import append_line_durable, crc_line, read_crc_line
 from repro.io.graphs import load_graph, save_graph
 from repro.io.runs import (
     CheckpointState,
@@ -201,3 +205,23 @@ class TestCheckpointPersistence:
     def test_invalid_flush_every(self, tmp_path):
         with pytest.raises(ValueError):
             RunCheckpointer(tmp_path / "ck.json", flush_every=0)
+
+
+class TestAppendLog:
+    def test_append_creates_missing_parent_directories(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "log.jsonl"
+        append_line_durable(path, "first")
+        append_line_durable(path, "second\n")
+        assert path.read_text() == "first\nsecond\n"
+
+    def test_crc_line_layout(self):
+        """The envelope keeps the entry's own key order (journal bytes)."""
+        entry = {"kind": "cycle", "b": [1, 2], "a": "ü"}
+        canonical = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        crc = zlib.crc32(canonical.encode("utf-8"))
+        line = crc_line(entry)
+        assert line == f'{{"crc":{crc},"entry":{{"kind":"cycle","b":[1,2],"a":"\\u00fc"}}}}'
+        assert read_crc_line(line) == entry
+        assert read_crc_line(line[:-3]) is None
+        assert read_crc_line(line.replace('"b"', '"c"')) is None
+        assert read_crc_line("") is None
