@@ -185,6 +185,8 @@ examples:
 	python examples/gnn_vs_llm.py
 	python examples/strategy_comparison.py
 	python examples/products_cost_analysis.py
+	python examples/dynamic_nodes.py
+	python examples/cross_graph_generalization.py
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true

@@ -19,9 +19,9 @@ process dying *between* the tmp write and the rename to prove recovery
 works; production callers never pass it.
 
 Append-only logs (the serve journal, the checkpoint log) share one line
-codec: :func:`crc_line` envelopes an entry with the CRC32 of its canonical
-JSON, and :func:`read_crc_line` returns ``None`` for any line that is torn
-or corrupt, which a reader treats as the start of a torn tail.
+codec and one reader: :func:`crc_line` envelopes an entry with the CRC32 of
+its canonical JSON, and :func:`read_crc_log` returns a log's verified
+prefix; everything after it is a torn tail.
 """
 
 from __future__ import annotations
@@ -54,13 +54,14 @@ def fsync_dir(path: str | Path) -> None:
 def atomic_write_text(
     path: str | Path,
     text: str,
-    durable: bool = True,
     before_replace: "Callable[[Path], None] | None" = None,
 ) -> Path:
     """Write ``text`` at ``path`` atomically: tmp + fsync + rename + dir fsync.
 
     A reader (or a post-crash restart) observes either the previous content
-    or the full new content — never a truncated or empty file.
+    or the full new content — never a truncated or empty file.  The tmp
+    file is fsynced before the rename and the directory after it, so the
+    new content also survives power loss.
 
     Parameters
     ----------
@@ -68,11 +69,6 @@ def atomic_write_text(
         Destination; parent directories are created.
     text:
         Full new content.
-    durable:
-        When True (default), fsync the tmp file before the rename and the
-        directory after it.  False skips both syncs — atomic visibility
-        without crash durability — for write-heavy artifacts where the OS
-        page cache is an acceptable risk.
     before_replace:
         Test/chaos hook invoked with the flushed tmp path just before
         ``os.replace``; raising from it models a crash at the narrowest
@@ -83,14 +79,12 @@ def atomic_write_text(
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
-        if durable:
-            handle.flush()
-            os.fsync(handle.fileno())
+        handle.flush()
+        os.fsync(handle.fileno())
     if before_replace is not None:
         before_replace(tmp)
     os.replace(tmp, path)
-    if durable:
-        fsync_dir(path.parent)
+    fsync_dir(path.parent)
     return path
 
 
@@ -154,3 +148,24 @@ def read_crc_line(line: str) -> dict | None:
     if canonical_crc(entry) != stored:
         return None
     return entry
+
+
+def read_crc_log(text: str) -> tuple[list[dict], int]:
+    """The entries of ``text``'s leading run of valid :func:`crc_line` lines,
+    and the offset where that verified prefix ends.
+
+    The run stops at the first blank, torn or corrupt line.  A valid last
+    line without its newline is kept (no proper prefix of a line is valid
+    JSON, so only the newline was lost); its writer must end the log with
+    a newline before appending again.
+    """
+    entries: list[dict] = []
+    end = 0
+    while end < len(text):
+        stop = text.find("\n", end) + 1 or len(text)
+        entry = read_crc_line(text[end:stop])
+        if entry is None:
+            break
+        entries.append(entry)
+        end = stop
+    return entries, end

@@ -23,10 +23,14 @@ v7) is an append-only log at one path, crash-safe end to end:
   The first flush, :meth:`RunCheckpointer.mark_complete`, recovery and any
   flush after an in-place edit of ``state.records`` compact, so a finished
   checkpoint is one JSON document;
-* at load, the first delta line failing its CRC or record count marks a
-  torn tail: it and every later line are dropped, and
-  :class:`RunCheckpointer` re-establishes the verified prefix by
+* at load, the delta lines are read by the serve journal's reader too
+  (:func:`repro.io.atomic.read_crc_log`); the first that fails its CRC or
+  record count marks a torn tail: it and every later line are dropped,
+  and :class:`RunCheckpointer` re-establishes the verified prefix by
   compaction.  A corrupt or missing snapshot falls back to ``.bak``.
+
+Readers accept v7 and v6 (one document, no log); an older file raises
+``ValueError``, which :class:`RunCheckpointer` does not recover from.
 
 Every record's JSON fragments and CRC are computed once and cached on its
 :class:`CheckpointState`; snapshots and delta lines are assembled from
@@ -50,7 +54,7 @@ from repro.io.atomic import (
     canonical_crc,
     canonical_json,
     crc_line_from_canonical,
-    read_crc_line,
+    read_crc_log,
 )
 from repro.runtime.results import QueryRecord, RunResult
 
@@ -59,26 +63,14 @@ if TYPE_CHECKING:
 
     from repro.obs.hooks import RunObserver
 
-# Version 2 added ``QueryRecord.outcome``; version-1 files load with the
-# default tier ("ok"), which is exactly what pre-outcome records were.
-# Version 3 added ``QueryRecord.latency_seconds``; older files load with
-# ``None`` (no simulated clock ran), so every earlier checkpoint and saved
-# run stays loadable.
-# Version 4 added the cascade-router provenance fields
-# ``QueryRecord.tier``/``escalations``/``cost_usd``; older files load with
-# the single-model defaults (None/0/None).
-# Version 5 added integrity checksums: ``record_crcs`` (CRC32 per record)
-# and ``manifest_crc`` (CRC32 over completion flag, pseudo-labels and the
-# record CRC list).  Older files load without verification.
-# Version 6 added ``QueryRecord.compressed`` (the prompt-compression
-# degradation rung); older files load with the ``False`` default, which is
-# exactly what pre-compression records were.
-# Version 7 made a checkpoint an append-only log: a version-7 snapshot
-# document, then one CRC-enveloped delta line per flush.  Its snapshot is
-# the version-6 document with the new number; run files changed only the
-# number.
+# Version 6 is one JSON document carrying every ``QueryRecord`` field,
+# ``record_crcs`` (CRC32 per record) and ``manifest_crc`` (CRC32 over the
+# completion flag, pseudo-labels and the record CRC list).  Version 7 made
+# a checkpoint an append-only log: a version-7 snapshot document, then one
+# CRC-enveloped delta line per flush.  Its snapshot is the version-6
+# document with the new number; run files changed only the number.
 _FORMAT_VERSION = 7
-_SUPPORTED_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
+_SUPPORTED_VERSIONS = (6, 7)
 _JSON = json.JSONDecoder()
 
 
@@ -86,9 +78,9 @@ class CheckpointCorruptionError(ValueError):
     """A persisted run/checkpoint failed integrity verification.
 
     Raised for non-JSON (truncated) files, checksum mismatches, and record
-    payloads that no longer deserialize.  Subclasses :class:`ValueError` so
-    pre-v5 callers catching that still work; :class:`RunCheckpointer`
-    catches it to recover from the ``.bak`` generation automatically.
+    payloads that no longer deserialize.  Subclasses :class:`ValueError`,
+    which an unsupported format version raises too; :class:`RunCheckpointer`
+    catches only this subclass, to recover from the ``.bak`` generation.
     """
 
 
@@ -117,7 +109,7 @@ def _manifest_crc(completed, pseudo_labels, record_crcs, num_records: int) -> in
 
 
 def _verify_payload(payload: dict, path: Path) -> None:
-    """Check a v5+ payload's checksums; raise on any mismatch."""
+    """Check a payload's checksums; raise on any mismatch."""
     records = payload.get("records", [])
     crcs = payload.get("record_crcs")
     if crcs is None or len(crcs) != len(records):
@@ -170,8 +162,7 @@ def _load_payload(path: Path, kind: str) -> tuple[dict, str]:
     rest = text[end:]
     if rest.strip() and (version < 7 or kind != "checkpoint"):
         raise CheckpointCorruptionError(f"{path}: trailing data after the {kind} document")
-    if version >= 5:
-        _verify_payload(payload, path)
+    _verify_payload(payload, path)
     return payload, rest
 
 
@@ -201,7 +192,7 @@ def load_run(path: str | Path) -> RunResult:
     """Load a run previously written by :func:`save_run`.
 
     Raises :class:`CheckpointCorruptionError` when the file is truncated or
-    fails its v5 checksums.
+    fails its checksums, and ``ValueError`` for a format older than v6.
     """
     path = Path(path)
     payload, _ = _load_payload(path, "run")
@@ -400,10 +391,10 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> CheckpointState:
     """Load a checkpoint written by :class:`RunCheckpointer` or :func:`save_checkpoint`.
 
-    The snapshot is verified record by record (v5+); any checksum mismatch
-    or truncation raises :class:`CheckpointCorruptionError`.  Versions 1–4
-    predate checksums and load unverified.  v7 delta lines apply in order
-    up to the first that fails its CRC or record count: that line and every
+    The snapshot is verified record by record; any checksum mismatch or
+    truncation raises :class:`CheckpointCorruptionError`, and a format
+    older than v6 raises ``ValueError``.  v7 delta lines apply in order up
+    to the first that fails its CRC or record count: that line and every
     later one are a torn tail, dropped and explained in ``torn_tail``.
     """
     path = Path(path)
@@ -422,14 +413,18 @@ def load_checkpoint(path: str | Path) -> CheckpointState:
         pseudo_labels=pseudo,
         completed=completed,
     )
-    lines = [line for line in rest.split("\n") if line]
-    for index, line in enumerate(lines):
-        if not _apply_delta(state, read_crc_line(line), path):
-            state.torn_tail = (
-                f"delta line {index + 1} of {len(lines)} failed its CRC or "
-                f"record count; dropped it and every later line"
-            )
-            break
+    # The snapshot ends without a newline; the first delta line brings one.
+    log = rest.removeprefix("\n")
+    entries, end = read_crc_log(log)
+    applied = 0
+    while applied < len(entries) and _apply_delta(state, entries[applied], path):
+        applied += 1
+    if applied < len(entries) or log[end:].strip():
+        lines = sum(1 for line in log.split("\n") if line)
+        state.torn_tail = (
+            f"delta line {applied + 1} of {lines} failed its CRC or "
+            f"record count; dropped it and every later line"
+        )
     return state
 
 

@@ -30,11 +30,10 @@ class RunBundle:
     _families: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def load(cls, path: str | Path, validate: bool = True) -> "RunBundle":
-        """Read a JSONL trace file into a bundle (schema-validated by default)."""
+    def load(cls, path: str | Path) -> "RunBundle":
+        """Read a JSONL trace file into a bundle; a trace is always schema-validated."""
         lines = read_trace(path)
-        if validate:
-            validate_trace_lines(lines)
+        validate_trace_lines(lines)
         return cls.from_lines(lines, path=Path(path))
 
     @classmethod
@@ -62,10 +61,6 @@ class RunBundle:
     @property
     def labels(self) -> dict[str, str]:
         return dict(self.header.get("labels", {}))
-
-    @property
-    def format_version(self) -> int:
-        return int(self.header.get("format_version", 0))
 
     def context(self) -> str:
         """``k=v`` label summary for report headings (never the run id —

@@ -17,17 +17,13 @@ A trace file is JSONL with three line kinds:
     A :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` payload under
     ``families``, plus the ``run_id``.
 
-Version history: v1 (PR 2) defined the envelope above; v2 added the serve
-lifecycle events and cascade span attributes and — because by then every
-subsystem emitted events the v1 validator never heard of — a per-event
-attribute catalogue (:data:`EVENT_REQUIRED_ATTRS`); v3 added the purely
-*optional* readiness attributes of DAG dispatch (``dag_ready`` /
-``dag_dispatched`` / ``dag_settled`` / ``dag_blocked_by`` on batched query
-spans, ``dag_pipelined`` on wave spans) without changing any required
-attribute, so the v2 catalogue validates v3 unchanged.  The validator
-accepts all three versions (:data:`SUPPORTED_FORMAT_VERSIONS`); the
-catalogue check applies from v2 on, so archived v1 traces keep validating
-byte-for-byte.
+Every known span name must carry the attributes of the per-event
+catalogue (:data:`EVENT_REQUIRED_ATTRS`).  The validator accepts the
+current format and the one before it (:data:`SUPPORTED_FORMAT_VERSIONS`):
+v3 only added the *optional* readiness attributes of DAG dispatch
+(``dag_ready`` / ``dag_dispatched`` / ``dag_settled`` / ``dag_blocked_by``
+on batched query spans, ``dag_pipelined`` on wave spans), so the one
+catalogue validates v2 and v3 alike.  Older traces are rejected.
 
 ``python -m repro.obs.schema TRACE.jsonl`` validates a file and exits
 non-zero on the first violation — this is what ``make trace-smoke`` runs
@@ -44,14 +40,14 @@ from repro.obs.tracing import TRACE_FORMAT_VERSION, read_trace
 _SPAN_STATUSES = ("ok", "error")
 _METRIC_KINDS = ("counter", "gauge", "histogram")
 
-#: Trace format versions this validator accepts (backward compatible).
-SUPPORTED_FORMAT_VERSIONS = (1, 2, TRACE_FORMAT_VERSION)
+#: Trace format versions this validator accepts: the current one and one back.
+SUPPORTED_FORMAT_VERSIONS = (2, TRACE_FORMAT_VERSION)
 
 #: Required attributes per known span/event name — the audit of everything
 #: the stack actually emits today (engine lifecycle, boosting, cascade
 #: routing, serving, reliability, checkpoints, chaos).  Unknown names stay
 #: legal (the schema is open for extension); a *known* name missing a
-#: required attribute is a validation error from format v2 on.
+#: required attribute is a validation error.
 EVENT_REQUIRED_ATTRS: dict[str, tuple[str, ...]] = {
     # engine query lifecycle
     "query": ("node",),
@@ -176,16 +172,12 @@ def validate_trace_lines(lines: list[dict]) -> dict:
         )
         attributes = line.get("attributes")
         _require(isinstance(attributes, dict), line_no, "attributes must be an object")
-        if version >= 2:
-            required = EVENT_REQUIRED_ATTRS.get(line["name"])
-            if required is not None:
-                for attr in required:
-                    _require(
-                        attr in attributes,
-                        line_no,
-                        f"{line['name']!r} span is missing required "
-                        f"attribute {attr!r}",
-                    )
+        for attr in EVENT_REQUIRED_ATTRS.get(line["name"], ()):
+            _require(
+                attr in attributes,
+                line_no,
+                f"{line['name']!r} span is missing required attribute {attr!r}",
+            )
         num_spans += 1
 
     _require(

@@ -30,8 +30,7 @@ from pathlib import Path
 #: Version 3 adds the *optional* readiness attributes of DAG dispatch —
 #: ``dag_ready`` / ``dag_dispatched`` / ``dag_settled`` / ``dag_blocked_by``
 #: on batched query spans and ``dag_pipelined`` on wave spans — strictly
-#: additively: no required attribute changed, and v1/v2 files remain
-#: readable and validatable.
+#: additively: no required attribute changed, so v2 files still validate.
 TRACE_FORMAT_VERSION = 3
 
 

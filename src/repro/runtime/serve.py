@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.budget import BudgetLedger, LedgerBook
-from repro.io.atomic import append_line_durable, atomic_write_text, crc_line, read_crc_line
+from repro.io.atomic import append_line_durable, atomic_write_text, crc_line, read_crc_log
 from repro.llm.pricing import PRICES_PER_1K_TOKENS, cache_discount_usd, cost_usd
 from repro.runtime.fallback import COMPRESSED, FULL, PRUNED, RUNGS, SURROGATE, Rung, rungs_from
 from repro.runtime.results import QueryRecord
@@ -353,17 +353,19 @@ class ServeJournal:
 
     Durability: appends go through :func:`repro.io.atomic.
     append_line_durable` (write + fsync), so a crash can tear at most the
-    final line.  On load, the first line that fails JSON or CRC validation
-    marks the torn tail: it and everything after it are truncated away
-    (work past the tail was committed by a process that died before its
-    fsync returned — it must be re-executed, conservatively).
+    final line.  On load, :func:`repro.io.atomic.read_crc_log` finds the
+    verified prefix (the checkpoint log's reader too): the first line that
+    fails JSON or CRC validation marks the torn tail, and the file is
+    rewritten as the prefix alone (work past the tail was committed by a
+    process that died before its fsync returned — it must be re-executed,
+    conservatively).  A last line that lost only its newline is kept and
+    the newline restored, so the next cycle starts a line of its own.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.header: dict | None = None
         self.cycles: list[dict] = []
-        self.dropped_lines = 0
         if self.path.exists():
             self._load()
 
@@ -371,21 +373,12 @@ class ServeJournal:
 
     def _load(self) -> None:
         text = self.path.read_text(encoding="utf-8", errors="replace")
-        good_chars = 0
-        entries: list[dict] = []
-        torn = False
-        for line in text.splitlines(keepends=True):
-            entry = read_crc_line(line)
-            if entry is None:
-                torn = True
-                break
-            entries.append(entry)
-            good_chars += len(line)
-        if torn:
-            remainder = text[good_chars:]
-            self.dropped_lines = sum(1 for l in remainder.splitlines() if l.strip())
-            with open(self.path, "r+", encoding="utf-8") as handle:
-                handle.truncate(len(text[:good_chars].encode("utf-8")))
+        entries, end = read_crc_log(text)
+        verified = text[:end]
+        if verified and not verified.endswith("\n"):
+            verified += "\n"
+        if verified != text:
+            atomic_write_text(self.path, verified)
         if not entries:
             return
         header = entries[0]
@@ -746,7 +739,39 @@ class ServingLayer:
 
     # --------------------------------------------------------------- dispatch
 
-    def _charge(self, tenant: str, record: QueryRecord) -> None:
+    def _open_cycle(self) -> tuple[list[tuple[ServeRequest, float, Rung]], int]:
+        """Start a dispatch cycle, live or journaled: the wave and its index.
+
+        Drives time-triggered chaos, picks the wave by DRR and numbers it;
+        an empty wave opens no cycle.
+        """
+        if self.chaos is not None:
+            self.chaos.poll(self.now)
+        picked = self._pick_wave()
+        cycle_index = self._cycles
+        if picked:
+            self._cycles += 1
+        return picked, cycle_index
+
+    def _close_cycle(self, cycle_index: int, outcomes: list[ServeOutcome]) -> list[ServeOutcome]:
+        """Report a settled cycle and its completions to the observer."""
+        if self.observer is not None:
+            self.observer.on_serve_cycle(cycle_index, self.total_queued, len(outcomes))
+            for outcome in outcomes:
+                self.observer.on_serve_complete(
+                    outcome.request.tenant,
+                    outcome.status,
+                    outcome.tier,
+                    outcome.latency_seconds,
+                )
+        return outcomes
+
+    def _charge(self, tenant: str, record: QueryRecord, shared: int) -> None:
+        """Bill one settled record, then credit its ``shared`` prompt-cache tokens.
+
+        Live and journaled cycles both settle through here, so a replayed
+        record re-charges the reconstructed ledgers exactly.
+        """
         usd = record.cost_usd
         if usd is None:
             usd = 0.0
@@ -757,6 +782,8 @@ class ServingLayer:
             # Fires on journal replay too (replayed records re-charge the
             # ledgers), so observer-side tenant spend always matches the book.
             self.observer.on_serve_charge(tenant, record.total_tokens, usd)
+        if shared:
+            self.book.credit_shared(tenant, shared, usd=self._shared_discount_usd(shared))
 
     def _shared_discount_usd(self, shared_tokens: int) -> float:
         """Dollar value of a prompt-cache credit under ``price_model``."""
@@ -845,14 +872,10 @@ class ServingLayer:
 
     def _cycle(self) -> list[ServeOutcome]:
         """One dispatch cycle: pick a wave fairly, gate it, execute, charge."""
-        if self.chaos is not None:
-            self.chaos.poll(self.now)
-        picked = self._pick_wave()
+        picked, cycle_index = self._open_cycle()
         if not picked:
             return []
         dispatched_at = self.now
-        cycle_index = self._cycles
-        self._cycles += 1
         plan: list[tuple[ServeRequest, float, Rung | None]] = []
         items: list[WorkItem] = []
         item_tenants: list[str] = []
@@ -899,11 +922,7 @@ class ServingLayer:
                 record = self._engine_for(request.node).surrogate_query(request.node)
             else:
                 record, shared = next(records)
-            self._charge(request.tenant, record)
-            if shared:
-                self.book.credit_shared(
-                    request.tenant, shared, usd=self._shared_discount_usd(shared)
-                )
+            self._charge(request.tenant, record, shared)
             # A neighbor-bearing request executed zero-shot lost fidelity to
             # backpressure or the gate: surface it as the pruned ladder rung.
             shed_neighbors = request.include_neighbors and record.pruned
@@ -926,16 +945,7 @@ class ServingLayer:
                     shared_prompt_tokens=shared,
                 )
             )
-        if self.observer is not None:
-            self.observer.on_serve_cycle(cycle_index, self.total_queued, len(plan))
-            for outcome in outcomes:
-                self.observer.on_serve_complete(
-                    outcome.request.tenant,
-                    outcome.status,
-                    outcome.tier,
-                    outcome.latency_seconds,
-                )
-        return outcomes
+        return self._close_cycle(cycle_index, outcomes)
 
     # ----------------------------------------------------------------- replay
 
@@ -972,11 +982,7 @@ class ServingLayer:
         and the re-simulated wave raises :class:`JournalError` — resuming
         against a drifted stream must fail loudly, not serve stale answers.
         """
-        if self.chaos is not None:
-            self.chaos.poll(self.now)
-        picked = self._pick_wave()
-        cycle_index = self._cycles
-        self._cycles += 1
+        picked, cycle_index = self._open_cycle()
         if entry.get("cycle") != cycle_index:
             raise JournalError(
                 f"journal cycle {entry.get('cycle')!r} arrived at re-simulated "
@@ -1005,15 +1011,7 @@ class ServingLayer:
             )
             shared = int(spec.get("shared_prompt_tokens", 0) or 0)
             if record is not None:
-                self._charge(request.tenant, record)
-                if shared:
-                    # Re-credit the journaled prompt-cache discount so the
-                    # reconstructed ledgers match the original run exactly.
-                    self.book.credit_shared(
-                        request.tenant,
-                        shared,
-                        usd=self._shared_discount_usd(shared),
-                    )
+                self._charge(request.tenant, record, shared)
                 self._engine_for(request.node).observe_replay(record)
             outcomes.append(
                 ServeOutcome(
@@ -1029,16 +1027,7 @@ class ServingLayer:
                 )
             )
         self._advance_to(float(entry["now_after"]))
-        if self.observer is not None:
-            self.observer.on_serve_cycle(cycle_index, self.total_queued, len(picked))
-            for outcome in outcomes:
-                self.observer.on_serve_complete(
-                    outcome.request.tenant,
-                    outcome.status,
-                    outcome.tier,
-                    outcome.latency_seconds,
-                )
-        return outcomes
+        return self._close_cycle(cycle_index, outcomes)
 
     def replay(
         self, requests: "list[ServeRequest]", journal: "ServeJournal | None" = None

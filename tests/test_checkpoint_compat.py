@@ -1,12 +1,16 @@
-"""Backward compatibility: v2-format checkpoints load and resume today.
+"""The compat window: v6 checkpoints load and resume, older ones are refused.
 
-``tests/data/checkpoint_v2.json`` is a committed mid-run snapshot written
-by the format-2 era (pre ``latency_seconds``, pre cascade provenance) over
-the tiny fixture graph (generator seed 42, split seed 3, first 6 queries,
-1-hop, gpt-3.5 seed 5).  The current reader must load it, default the
-missing fields, and resume the run without re-issuing the 6 completed
-LLM calls.  Regenerate only on a deliberate fixture-graph change — any
-rewrite under the *current* format would defeat the test.
+``tests/data/checkpoint_v6.json`` is a committed mid-run snapshot in the
+format one version back from the current writer's (v6: one JSON document,
+no delta log) over the tiny fixture graph (generator seed 42, split seed 3,
+first 6 queries, 1-hop, gpt-3.5 seed 5).  The current reader must load it
+and resume the run without re-issuing the 6 completed LLM calls.  It was
+converted once from the format-2 fixture of the same run (the v3–v6 fields
+at their defaults, plus the v5 checksums), not written by the current
+writer — a rewrite under the *current* format would defeat the test.
+
+Formats older than v6 are refused with ``ValueError``: a
+:class:`RunCheckpointer` must leave such a file exactly as it found it.
 """
 
 from __future__ import annotations
@@ -15,40 +19,49 @@ import json
 import shutil
 from pathlib import Path
 
-from repro.io.runs import _FORMAT_VERSION, RunCheckpointer, load_checkpoint
+import pytest
 
-FIXTURE = Path(__file__).parent / "data" / "checkpoint_v2.json"
+from repro.io.runs import (
+    _FORMAT_VERSION,
+    RunCheckpointer,
+    backup_path,
+    load_checkpoint,
+)
+
+FIXTURE = Path(__file__).parent / "data" / "checkpoint_v6.json"
 
 
-def test_fixture_really_is_v2():
+def test_fixture_really_is_v6():
     payload = json.loads(FIXTURE.read_text())
-    assert payload["format_version"] == 2
+    assert payload["format_version"] == 6
     assert not payload["completed"]
-    assert all("latency_seconds" not in r for r in payload["records"])
-    assert all("tier" not in r for r in payload["records"])
+    assert len(payload["records"]) == len(payload["record_crcs"]) == 6
+    assert "manifest_crc" in payload
+    assert all(r["compressed"] is False for r in payload["records"])
 
 
-def test_v2_checkpoint_loads_with_defaulted_fields():
+def test_v6_checkpoint_loads():
     state = load_checkpoint(FIXTURE)
     assert len(state.records) == 6
     assert not state.completed
+    assert state.torn_tail is None
     for record in state.records:
         assert record.latency_seconds is None
         assert record.tier is None
         assert record.escalations == 0
         assert record.cost_usd is None
         assert record.outcome == "ok"
+        assert not record.compressed
 
 
-def test_v2_checkpoint_resumes_under_current_writer(
-    make_tiny_engine, tiny_split, tmp_path
-):
+def test_v6_checkpoint_resumes_under_current_writer(make_tiny_engine, tiny_split, tmp_path):
     # Work on a copy: resuming rewrites the file in the current format.
     path = tmp_path / "ckpt.json"
     shutil.copy(FIXTURE, path)
 
     checkpointer = RunCheckpointer(path)
     assert checkpointer.resumed_records == 6
+    assert not checkpointer.recovered
 
     engine = make_tiny_engine()
     result = engine.run(tiny_split.queries[:12], checkpointer=checkpointer)
@@ -63,3 +76,26 @@ def test_v2_checkpoint_resumes_under_current_writer(
     assert rewritten["format_version"] == _FORMAT_VERSION
     assert rewritten["completed"]
     assert len(rewritten["records"]) == 12
+
+
+def old_document(version: int) -> dict:
+    """The v6 fixture relabelled as an older format version."""
+    payload = json.loads(FIXTURE.read_text())
+    payload["format_version"] = version
+    if version < 5:  # checksums arrived in v5
+        del payload["record_crcs"], payload["manifest_crc"]
+    return payload
+
+
+@pytest.mark.parametrize("version", [5, 1])
+def test_older_checkpoint_is_refused(tmp_path, version):
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(old_document(version)))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="format version"):
+        load_checkpoint(path)
+    with pytest.raises(ValueError, match="format version"):
+        RunCheckpointer(path)
+    # Refused outright: neither recovered from a backup nor rewritten.
+    assert path.read_bytes() == before
+    assert not backup_path(path).exists()

@@ -4,10 +4,11 @@ The fixtures under ``tests/data/`` are the three damage shapes the
 durability layer must *detect* (never deserialize into garbage) and,
 where a good generation survives, *recover* from:
 
-* ``corrupt_checkpoint_truncated.json`` — a v5 checkpoint cut mid-file,
-  the shape a crash during a non-atomic write leaves;
-* ``corrupt_checkpoint_bitflip.json`` — valid JSON whose record payload
-  was silently altered, so the per-record CRC no longer matches;
+* ``corrupt_checkpoint_truncated.json`` — a checkpoint cut mid-file, the
+  shape a crash during a non-atomic write leaves (its header says v5, but
+  decoding fails before the version is read);
+* ``corrupt_checkpoint_bitflip.json`` — a valid v6 document whose record 1
+  was silently altered, so that record's CRC no longer matches;
 * ``malformed_requests.jsonl`` — a request stream with one line torn
   mid-write amid valid lines.
 """
@@ -42,12 +43,13 @@ class TestCorruptCheckpointDetection:
 
     def test_bitflipped_checkpoint_is_detected(self):
         # The file is syntactically valid JSON — only the checksums tell.
-        json.loads(BITFLIPPED.read_text())
-        with pytest.raises(CheckpointCorruptionError, match="CRC|checksum|crc"):
+        assert json.loads(BITFLIPPED.read_text())["format_version"] == 6
+        # Records 0 and 2 pass their CRC; record 1 is the altered one.
+        with pytest.raises(CheckpointCorruptionError, match="record 1 failed its CRC check"):
             load_checkpoint(BITFLIPPED)
 
     def test_detection_is_a_value_error(self):
-        """Pre-v5 callers catching ValueError still catch corruption."""
+        """Callers catching ValueError catch corruption too."""
         with pytest.raises(ValueError):
             load_checkpoint(TRUNCATED)
 

@@ -115,17 +115,17 @@ class TestRunPersistence:
         assert len(lines) == 6  # header + 5 records
         assert "node" in lines[0] and "correct" in lines[0]
 
-    def test_version_1_files_load_with_default_outcome(self, tmp_path):
-        import json
-
+    def test_version_1_run_files_are_refused(self, tmp_path):
+        """Run files older than v6 are outside the compat window."""
         save_run(sample_run(), tmp_path / "run.json")
         payload = json.loads((tmp_path / "run.json").read_text())
         payload["format_version"] = 1
         for record in payload["records"]:
             del record["outcome"]  # the field version 2 introduced
+        del payload["record_crcs"], payload["manifest_crc"]  # v5's checksums
         (tmp_path / "run.json").write_text(json.dumps(payload))
-        loaded = load_run(tmp_path / "run.json")
-        assert all(r.outcome == "ok" for r in loaded.records)
+        with pytest.raises(ValueError, match="format version 1"):
+            load_run(tmp_path / "run.json")
 
     def test_outcome_survives_roundtrip(self, tmp_path):
         record = QueryRecord(

@@ -95,23 +95,17 @@ class TestSummaryEdges:
 
 
 class TestSchemaVersions:
-    def test_all_versions_up_to_current_supported(self):
-        assert SUPPORTED_FORMAT_VERSIONS == tuple(
-            range(1, TRACE_FORMAT_VERSION + 1)
-        )
+    def test_current_and_one_back_supported(self):
+        assert SUPPORTED_FORMAT_VERSIONS == (2, 3)
         assert TRACE_FORMAT_VERSION == 3
 
     def test_v2_trace_validates(self):
         validate_trace_lines(single_wave_trace())
 
-    def test_v1_trace_validates_leniently(self):
-        # v1 files predate the per-event attribute catalogue: spans missing
-        # now-required attributes must still pass.
-        lines = as_v1(single_wave_trace())
-        for line in lines:
-            if line.get("kind") == "span":
-                line["attributes"].pop("node", None)
-        validate_trace_lines(lines)
+    def test_v1_trace_is_rejected(self):
+        # v1 is two versions back, outside the compat window.
+        with pytest.raises(TraceSchemaError, match="unsupported format_version 1"):
+            validate_trace_lines(as_v1(single_wave_trace()))
 
     def test_v2_enforces_required_attributes(self):
         lines = single_wave_trace()

@@ -1,10 +1,10 @@
-"""Trace-format compatibility: v1, v2, and v3 files all validate.
+"""Trace-format compatibility: v2 and v3 files validate, v1 is rejected.
 
 Schema v3 (this repo's DAG-dispatch release) added only *optional* span
 attributes — ``dag_ready``/``dag_dispatched``/``dag_settled``/
 ``dag_blocked_by`` on batched query spans, ``dag_pipelined`` on wave spans
-— so the validator must keep accepting archived v1 and v2 traces unchanged
-while rejecting versions it has never seen.  The committed
+— so the validator accepts the current version and the one before it
+unchanged, and rejects every other version.  The committed
 ``golden_scheduler_trace_v2.jsonl`` pins the last v2 golden byte-for-byte;
 the live v3 golden sits beside it.
 """
@@ -78,13 +78,13 @@ def make_v1_trace() -> list[dict]:
 
 
 class TestVersionMatrix:
-    def test_supported_versions_are_exactly_one_through_current(self):
-        assert SUPPORTED_FORMAT_VERSIONS == (1, 2, 3)
+    def test_supported_versions_are_current_and_one_back(self):
+        assert SUPPORTED_FORMAT_VERSIONS == (2, 3)
         assert TRACE_FORMAT_VERSION == 3
 
-    def test_v1_trace_validates_without_attribute_catalogue(self):
-        stats = validate_trace_lines(make_v1_trace())
-        assert stats["num_spans"] == 2
+    def test_v1_trace_is_rejected(self):
+        with pytest.raises(TraceSchemaError, match="unsupported format_version 1"):
+            validate_trace_lines(make_v1_trace())
 
     def test_v2_catalogue_applies_from_v2_on(self):
         """The same catalogue-violating span is legal in v1, illegal in v2+."""
