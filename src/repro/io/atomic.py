@@ -12,15 +12,18 @@ visible.  The fix is the classic three-step dance:
 2. ``os.replace(tmp, path)`` (atomic visibility flip),
 3. ``fsync`` the containing directory (the rename itself durable).
 
-:func:`atomic_write_text` packages that dance; every persistent artifact in
-the repo writes through it.  The ``before_replace`` hook exists for the
-chaos-injection subsystem (:mod:`repro.runtime.chaos`), which simulates a
-process dying *between* the tmp write and the rename to prove recovery
-works; production callers never pass it.
+:func:`atomic_write_text` packages that dance for the files a run resumes
+from: checkpoint compactions, the LLM cache, request streams, journal
+truncations.  Traces, CSV exports, saved graphs and reports use plain
+writes.  The ``before_replace`` hook exists for the chaos-injection
+subsystem (:mod:`repro.runtime.chaos`), which simulates a process dying
+*between* the tmp write and the rename to prove recovery works; production
+callers never pass it.
 
 Append-only logs (the serve journal, the checkpoint log) share one line
-codec and one reader: :func:`crc_line` envelopes an entry with the CRC32 of
-its canonical JSON, and :func:`read_crc_log` returns a log's verified
+codec: :func:`crc_line` envelopes canonical JSON with the CRC32 of exactly
+those bytes, which :func:`read_crc_line` checks before decoding, so every
+single-bit flip is caught.  :func:`read_crc_log` returns a log's verified
 prefix; everything after it is a torn tail.
 """
 
@@ -120,34 +123,27 @@ def canonical_crc(value) -> int:
     return zlib.crc32(canonical_json(value).encode("utf-8"))
 
 
-def crc_line(entry: dict) -> str:
-    """One log line (without its newline): the entry and its CRC."""
-    return json.dumps({"crc": canonical_crc(entry), "entry": entry}, separators=(",", ":"))
-
-
-def crc_line_from_canonical(canonical: str) -> str:
-    """:func:`crc_line` for an entry already encoded as canonical JSON.
-
-    Lets a writer assemble the entry from cached canonical fragments
-    instead of encoding it again; :func:`read_crc_line` reads both forms.
-    """
+def crc_line(canonical: str) -> str:
+    """One log line (without its newline) for an entry encoded as
+    :func:`canonical_json`: ``{"crc":<crc32 of canonical>,"entry":<canonical>}``."""
     return f'{{"crc":{zlib.crc32(canonical.encode("utf-8"))},"entry":{canonical}}}'
 
 
 def read_crc_line(line: str) -> dict | None:
-    """The entry of one :func:`crc_line` line, or ``None`` if torn or corrupt."""
-    line = line.strip()
-    if not line:
+    """The entry of one :func:`crc_line` line, or ``None`` if torn, corrupt
+    or not a JSON object; never raises.  The entry text must be ASCII, as
+    :func:`canonical_json` writes it."""
+    head, _, tail = line.removesuffix("\n").partition(',"entry":')
+    canonical = tail[:-1]
+    if not (tail.endswith("}") and canonical.isascii()):
+        return None
+    if head != f'{{"crc":{zlib.crc32(canonical.encode("ascii"))}':
         return None
     try:
-        envelope = json.loads(line)
-        entry = envelope["entry"]
-        stored = envelope["crc"]
-    except (json.JSONDecodeError, KeyError, TypeError):
+        entry = json.loads(canonical)
+    except (ValueError, RecursionError):
         return None
-    if canonical_crc(entry) != stored:
-        return None
-    return entry
+    return entry if isinstance(entry, dict) else None
 
 
 def read_crc_log(text: str) -> tuple[list[dict], int]:
@@ -155,9 +151,10 @@ def read_crc_log(text: str) -> tuple[list[dict], int]:
     and the offset where that verified prefix ends.
 
     The run stops at the first blank, torn or corrupt line.  A valid last
-    line without its newline is kept (no proper prefix of a line is valid
-    JSON, so only the newline was lost); its writer must end the log with
-    a newline before appending again.
+    line without its newline is kept: a cut inside a line leaves a shorter
+    entry text under the whole entry's CRC, and no proper prefix of a JSON
+    object decodes as one, so only the newline was lost.  Its writer must
+    end the log with a newline before appending again.
     """
     entries: list[dict] = []
     end = 0

@@ -53,7 +53,7 @@ from repro.io.atomic import (
     atomic_write_text,
     canonical_crc,
     canonical_json,
-    crc_line_from_canonical,
+    crc_line,
     read_crc_log,
 )
 from repro.runtime.results import QueryRecord, RunResult
@@ -337,9 +337,9 @@ def _delta_entry(state: CheckpointState, start: int, pseudo_labels: list) -> str
     )
 
 
-def _apply_delta(state: CheckpointState, entry, path: Path) -> bool:
+def _apply_delta(state: CheckpointState, entry: dict, path: Path) -> bool:
     """Apply one CRC-verified delta entry; False if it does not follow ``state``."""
-    if not isinstance(entry, dict) or entry.get("kind") != "delta":
+    if entry.get("kind") != "delta":
         return False
     records = entry.get("records")
     if not isinstance(records, list):
@@ -584,7 +584,7 @@ class RunCheckpointer:
             self._compact(before_replace=self.crash_hook)
         else:
             entry = _delta_entry(self.state, self._logged, self._pseudo)
-            append_line_durable(self.path, self._separator + crc_line_from_canonical(entry))
+            append_line_durable(self.path, self._separator + crc_line(entry))
             self._separator = ""
             self._logged = len(self.state.records)
             if self.crash_hook is not None:

@@ -49,7 +49,6 @@ See ``docs/serving.md`` for the full contract and knobs.
 from __future__ import annotations
 
 import json
-import zlib
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -58,7 +57,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.budget import BudgetLedger, LedgerBook
-from repro.io.atomic import append_line_durable, atomic_write_text, crc_line, read_crc_log
+from repro.io.atomic import (
+    append_line_durable, atomic_write_text, canonical_crc, canonical_json, crc_line, read_crc_log
+)
 from repro.llm.pricing import PRICES_PER_1K_TOKENS, cache_discount_usd, cost_usd
 from repro.runtime.fallback import COMPRESSED, FULL, PRUNED, RUNGS, SURROGATE, Rung, rungs_from
 from repro.runtime.results import QueryRecord
@@ -319,23 +320,19 @@ class ServeReport:
 class JournalError(ValueError):
     """A serve request journal cannot be used for the attempted resume.
 
-    Raised for header/stream mismatches (the journal was recorded for a
-    different request stream) and for entries that disagree with the
-    re-simulated dispatch — never for a torn tail, which
+    Raised for a damaged header, header/stream mismatches (the journal was
+    recorded for a different request stream) and entries that disagree
+    with the re-simulated dispatch — never for a torn tail, which
     :class:`ServeJournal` repairs silently on load.
     """
 
 
-_JOURNAL_VERSION = 1
+_JOURNAL_VERSION = 2
 
 
 def _stream_crc(requests: "list[ServeRequest]") -> int:
     """CRC32 identity of a request stream (order-sensitive, content-exact)."""
-    blob = json.dumps(
-        [[r.tenant, r.node, r.arrival, r.include_neighbors] for r in requests],
-        separators=(",", ":"),
-    )
-    return zlib.crc32(blob.encode("utf-8"))
+    return canonical_crc([[r.tenant, r.node, r.arrival, r.include_neighbors] for r in requests])
 
 
 class ServeJournal:
@@ -355,11 +352,14 @@ class ServeJournal:
     append_line_durable` (write + fsync), so a crash can tear at most the
     final line.  On load, :func:`repro.io.atomic.read_crc_log` finds the
     verified prefix (the checkpoint log's reader too): the first line that
-    fails JSON or CRC validation marks the torn tail, and the file is
-    rewritten as the prefix alone (work past the tail was committed by a
-    process that died before its fsync returned — it must be re-executed,
-    conservatively).  A last line that lost only its newline is kept and
-    the newline restored, so the next cycle starts a line of its own.
+    fails its CRC marks the torn tail, and the file is rewritten as the
+    prefix alone (work past the tail was committed by a process that died
+    before its fsync returned — it must be re-executed, conservatively).  A
+    last line that lost only its newline is kept and the newline restored,
+    so the next cycle starts a line of its own.  A whole header line that
+    fails its CRC (a bit flip, or a v1 journal, whose lines were not
+    canonical) raises :class:`JournalError` and leaves the file as it is:
+    truncating it would make the resume pay again for every cycle.
     """
 
     def __init__(self, path: str | Path):
@@ -374,6 +374,8 @@ class ServeJournal:
     def _load(self) -> None:
         text = self.path.read_text(encoding="utf-8", errors="replace")
         entries, end = read_crc_log(text)
+        if not entries and "\n" in text:  # a whole header line, damaged: never truncate it
+            raise JournalError(f"{self.path}: header line fails its CRC (damaged, or a v1 journal)")
         verified = text[:end]
         if verified and not verified.endswith("\n"):
             verified += "\n"
@@ -398,7 +400,7 @@ class ServeJournal:
     # ---------------------------------------------------------------- writing
 
     def _append(self, entry: dict) -> None:
-        append_line_durable(self.path, crc_line(entry))
+        append_line_durable(self.path, crc_line(canonical_json(entry)))
 
     def begin(self, requests: "list[ServeRequest]") -> None:
         """Bind the journal to ``requests`` (write or verify the header)."""
@@ -441,8 +443,7 @@ class ServeJournal:
             raise JournalError("cannot truncate a journal with no header")
         self.cycles = self.cycles[:keep_cycles]
         entries = [self.header] + [{"kind": "cycle", **c} for c in self.cycles]
-        lines = [crc_line(entry) for entry in entries]
-        atomic_write_text(self.path, "\n".join(lines) + "\n")
+        atomic_write_text(self.path, "".join(crc_line(canonical_json(e)) + "\n" for e in entries))
 
 
 class _TenantState:

@@ -9,6 +9,12 @@ converted once from the format-2 fixture of the same run (the v3–v6 fields
 at their defaults, plus the v5 checksums), not written by the current
 writer — a rewrite under the *current* format would defeat the test.
 
+``tests/data/checkpoint_v7_log.ck`` is a mid-run v7 log (a snapshot line
+and four delta lines, non-ASCII ``tier`` strings included) written by the
+v7 writer whose reader re-encoded each entry to check its CRC.  Its delta
+lines were already canonical, so the byte-exact reader loads it as that
+reader did, and the current writer still produces it byte for byte.
+
 Formats older than v6 are refused with ``ValueError``: a
 :class:`RunCheckpointer` must leave such a file exactly as it found it.
 """
@@ -27,8 +33,38 @@ from repro.io.runs import (
     backup_path,
     load_checkpoint,
 )
+from repro.runtime.results import QueryRecord
 
 FIXTURE = Path(__file__).parent / "data" / "checkpoint_v6.json"
+V7_LOG = Path(__file__).parent / "data" / "checkpoint_v7_log.ck"
+
+
+def v7_record(node: int) -> QueryRecord:
+    """The records of ``checkpoint_v7_log.ck``, in the order they were appended."""
+    return QueryRecord(
+        node=node,
+        true_label=node % 3,
+        predicted_label=(node + 1) % 3,
+        prompt_tokens=120 + node,
+        completion_tokens=6,
+        num_neighbors=3,
+        num_neighbor_labels=node % 2,
+        num_pseudo_labels=node,
+        round_index=node // 2,
+        confidence=0.25 * (node % 4),
+        latency_seconds=1.5 + node,
+        tier="gpt-3.5" if node % 2 else "ü-tier",
+        cost_usd=0.001 * (node + 1),
+    )
+
+
+def write_v7_log(path: Path) -> RunCheckpointer:
+    """Replay the run that wrote ``checkpoint_v7_log.ck``, stopping mid-run."""
+    checkpointer = RunCheckpointer(path, flush_every=1)
+    for node in range(5):
+        checkpointer.record_pseudo(node + 40, node % 3)
+        checkpointer.append(v7_record(node))
+    return checkpointer
 
 
 def test_fixture_really_is_v6():
@@ -99,3 +135,29 @@ def test_older_checkpoint_is_refused(tmp_path, version):
     # Refused outright: neither recovered from a backup nor rewritten.
     assert path.read_bytes() == before
     assert not backup_path(path).exists()
+
+
+def test_v7_log_fixture_loads_every_delta_line():
+    assert len(V7_LOG.read_text().splitlines()) == 5, "a snapshot and four delta lines"
+    assert "\\u00fc-tier" in V7_LOG.read_text()
+    state = load_checkpoint(V7_LOG)
+    assert state.torn_tail is None
+    assert not state.completed
+    assert state.records == [v7_record(node) for node in range(5)]
+    assert list(state.pseudo_labels.items()) == [(node + 40, node % 3) for node in range(5)]
+
+
+def test_v7_log_fixture_is_what_the_writer_writes(tmp_path):
+    path = tmp_path / "run.ck"
+    write_v7_log(path)
+    assert path.read_bytes() == V7_LOG.read_bytes()
+
+
+def test_v7_log_fixture_resumes_without_recovery(tmp_path):
+    path = tmp_path / "run.ck"
+    shutil.copy(V7_LOG, path)
+    checkpointer = RunCheckpointer(path)
+    assert checkpointer.resumed_records == 5
+    assert not checkpointer.recovered
+    checkpointer.append(v7_record(5))
+    assert load_checkpoint(path).records == [v7_record(node) for node in range(6)]

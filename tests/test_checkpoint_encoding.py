@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.boosting import QueryBoostingStrategy
 from repro.io import runs
-from repro.io.atomic import canonical_json, crc_line_from_canonical, read_crc_line
+from repro.io.atomic import canonical_json, crc_line, read_crc_line
 from repro.io.runs import CheckpointState, RunCheckpointer, load_checkpoint, save_checkpoint
 from repro.llm.simulated import SimulatedLLM
 from repro.runtime.results import OUTCOME_TIERS, QueryRecord
@@ -274,11 +274,31 @@ class TestAppendOnlyLog:
             entry = read_crc_line(line)
             assert entry is not None and entry["kind"] == "delta"
             # Assembled from cached fragments, equal to encoding it afresh.
-            assert line == crc_line_from_canonical(canonical_json(entry))
+            assert line == crc_line(canonical_json(entry))
         last = read_crc_line(lines[-1])
         assert last["num_records"] == 5
         assert last["records"] == [runs.record_fields(sample_record(4))]
         assert last["pseudo_labels"] == [[103, 0], [104, 1]]
+
+    def test_every_bit_flip_in_a_delta_line_is_detected(self, tmp_path):
+        """The CRC covers the line's bytes, so no flip decodes to the same entry.
+
+        The record's ``tier`` is ``ü-tier``, written as the escape ``\\u00fc``;
+        JSON hex escapes ignore case, so a reader that re-encoded the decoded
+        entry would miss the flips that turn ``f`` into ``F``.
+        """
+        path = tmp_path / "run.ck"
+        checkpointer = RunCheckpointer(path, flush_every=1)
+        for node in range(2):
+            checkpointer.append(sample_record(node))
+        line = delta_lines(path)[0].encode("ascii")
+        assert b"\\u00fc" in line and read_crc_line(line.decode()) is not None
+        for position in range(len(line)):
+            for bit in range(8):
+                flipped = bytearray(line)
+                flipped[position] ^= 1 << bit
+                text = flipped.decode("utf-8", errors="replace")
+                assert read_crc_line(text) is None, (position, bit)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -5,37 +5,42 @@ The serve journal and the checkpoint's delta log are both read by
 valid lines, and the offset where that verified prefix ends.  These tests
 pin the reader's contract on arbitrary logs (hypothesis), then drive the
 journal through :meth:`ServingLayer.replay` across every tear a crash can
-leave in its last line — including the one that loses only the newline.
+leave in its last line — including the one that loses only the newline —
+and check that a header line written whole but failing its CRC (a bit
+flip, or a format v1 journal) is refused and left as it is.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.io.atomic import crc_line, read_crc_log
-from repro.runtime.serve import ServeJournal
+from repro.cli import main
+from repro.io.atomic import canonical_json, crc_line, read_crc_line, read_crc_log
+from repro.runtime.serve import JournalError, ServeJournal
 
 from tests.equivalence import ServeScenario, run_serve_scenario
 
-# Integers and letter strings only: a single bit flip in their JSON never
-# decodes to an equal entry (a float's ``e`` -> ``E`` or a ``\u`` escape's
-# hex case would), so the CRC alone decides whether a line survives.
 ENTRIES = st.lists(
     st.dictionaries(
-        st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=1, max_size=6),
-        st.integers(-(10**6), 10**6) | st.text("abcdefghijKLMNOPQ", max_size=8),
+        st.text(max_size=6),
+        st.integers(-(10**6), 10**6)
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=8),
         max_size=4,
     ),
     min_size=1,
     max_size=6,
 )
 
+V1_JOURNAL = Path(__file__).parent / "data" / "serve_journal_v1.jsonl"
+
 
 def encode(entries: list[dict]) -> bytes:
-    return "".join(crc_line(entry) + "\n" for entry in entries).encode("utf-8")
+    return "".join(crc_line(canonical_json(entry)) + "\n" for entry in entries).encode("utf-8")
 
 
 def line_starts(data: bytes) -> list[int]:
@@ -74,8 +79,19 @@ class TestReader:
         assert found == entries[:k]
         assert end == starts[k]
 
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text() | st.text().map(crc_line))
+    def test_any_text_reads_without_raising(self, text):
+        """Malformed input, CRC-valid envelopes around non-JSON or non-object
+        entries included, is ``None`` or an empty log, never an exception."""
+        entry = read_crc_line(text)
+        assert entry is None or isinstance(entry, dict)
+        entries, end = read_crc_log(text + "\n" + text)
+        assert all(isinstance(e, dict) for e in entries)
+        assert 0 <= end <= 2 * len(text) + 1
+
     def test_a_blank_line_ends_the_verified_prefix(self):
-        first, second = crc_line({"a": 1}), crc_line({"b": 2})
+        first, second = crc_line('{"a":1}'), crc_line('{"b":2}')
         text = f"{first}\n\n{second}\n"
         assert read_crc_log(text) == ([{"a": 1}], len(first) + 1)
         assert read_crc_log("") == ([], 0)
@@ -170,3 +186,57 @@ class TestJournalTornTail:
         journal = ServeJournal(path)
         assert journal.header is None and journal.cycles == []
         assert path.read_bytes() == b""
+
+
+class TestJournalHeader:
+    def test_a_bit_flip_in_the_header_is_refused_and_left_alone(
+        self, tiny_tag, tiny_split, tiny_builder, tmp_path
+    ):
+        """Truncating the journal would re-pay every committed cycle on resume."""
+        path = tmp_path / "journal.jsonl"
+        serve(tiny_tag, tiny_split, tiny_builder, path)
+        assert ServeJournal(path).cycles
+        data = path.read_bytes()
+        header_end = data.index(b"\n") + 1
+        for position in range(header_end):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[position] ^= 1 << bit
+                path.write_bytes(flipped)
+                with pytest.raises(JournalError, match="header line fails its CRC"):
+                    ServeJournal(path)
+                assert path.read_bytes() == flipped, (position, bit)
+
+    def test_a_crc_valid_header_that_is_not_an_object_is_refused(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text(crc_line("[1]") + "\n")
+        with pytest.raises(JournalError):
+            ServeJournal(path)
+        assert path.read_text() == crc_line("[1]") + "\n"
+
+    def test_a_v1_journal_is_refused_and_left_alone(self, tmp_path):
+        """``serve_journal_v1.jsonl`` was written by the format v1 writer
+        (entries in insertion order, CRC over a canonical re-encode)."""
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(V1_JOURNAL.read_bytes())
+        assert b'"format_version":1' in path.read_bytes()
+        with pytest.raises(JournalError, match="v1 journal"):
+            ServeJournal(path)
+        assert path.read_bytes() == V1_JOURNAL.read_bytes()
+
+    def test_serve_refuses_a_v1_journal(self, capsys, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(V1_JOURNAL.read_bytes())
+        code = main(
+            [
+                "serve",
+                "--dataset", "cora",
+                "--scale", "0.15",
+                "--queries", "10",
+                "--synthetic", "3",
+                "--journal", str(path),
+            ]
+        )
+        assert code != 0
+        assert "bad --journal" in capsys.readouterr().err
+        assert path.read_bytes() == V1_JOURNAL.read_bytes()

@@ -215,13 +215,15 @@ class TestAppendLog:
         assert path.read_text() == "first\nsecond\n"
 
     def test_crc_line_layout(self):
-        """The envelope keeps the entry's own key order (journal bytes)."""
+        """The envelope carries the canonical entry text its CRC covers."""
         entry = {"kind": "cycle", "b": [1, 2], "a": "ü"}
         canonical = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         crc = zlib.crc32(canonical.encode("utf-8"))
-        line = crc_line(entry)
-        assert line == f'{{"crc":{crc},"entry":{{"kind":"cycle","b":[1,2],"a":"\\u00fc"}}}}'
+        line = crc_line(canonical)
+        assert line == f'{{"crc":{crc},"entry":{{"a":"\\u00fc","b":[1,2],"kind":"cycle"}}}}'
         assert read_crc_line(line) == entry
         assert read_crc_line(line[:-3]) is None
         assert read_crc_line(line.replace('"b"', '"c"')) is None
         assert read_crc_line("") is None
+        for not_an_object in ("[1]", "1", "null", "{"):
+            assert read_crc_line(crc_line(not_an_object)) is None
