@@ -50,10 +50,12 @@ test-differential:
 
 # The MQO tier (docs/mqo.md): prefix-sharing/compression property laws,
 # cache-pricing and ledger-credit unit suite, the classical prefix-sharing
-# comparators, and the golden cent-for-cent accounting fixture.
+# comparators, the golden cent-for-cent accounting fixture, and the
+# count/compress memos (equal to their oracles, each prompt done once).
 test-mqo:
 	pytest tests/test_mqo_properties.py tests/test_mqo_tier.py \
-		tests/test_prefix_sharing.py tests/test_golden_mqo_accounting.py
+		tests/test_prefix_sharing.py tests/test_golden_mqo_accounting.py \
+		tests/test_tokenizer.py::TestCountMemo tests/test_text_memo.py
 
 test-output:
 	set -o pipefail; pytest tests/ 2>&1 | tee test_output.txt

@@ -24,7 +24,10 @@ budget.
 
 Everything here is a pure function of (prompt text, seed): the same prompt
 compresses to the same bytes in the serve gate's cost estimate, the
-engine's execution, and a crash/resume replay.
+engine's execution, and a crash/resume replay.  A compressor therefore
+memoises its results per instance, keyed by ``(prompt, target_tokens)``:
+the gate's previews, the prefix planner and execution compress each
+distinct prompt once.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.text.tokenizer import Tokenizer, _default_tokenizer
+from repro.text.tokenizer import Tokenizer
 from repro.utils.rng import spawn_rng
 
 #: One rendered neighbor block, e.g. ``Neighbor Paper0: {{\n...\n}}\n``.
@@ -42,6 +46,9 @@ _NEIGHBOR_BLOCK_RE = re.compile(r"Neighbor \w+\d+: \{\{\n.*?\}\}\n", re.DOTALL)
 #: Weight of the pseudo-label cue: a block whose neighbor carries a
 #: ``Category:`` line contributes label evidence no lexical overlap measures.
 _LABEL_BONUS = 0.25
+
+#: Distinct ``(prompt, target_tokens)`` results one compressor remembers.
+_COMPRESS_MEMO_SIZE = 128
 
 #: Jitter magnitude — far below any score difference that could matter, so
 #: it only breaks exact ties, deterministically per (seed, block text).
@@ -71,7 +78,7 @@ class ContextAnalyzer:
 
     def __init__(self, seed: int = 0, tokenizer: Tokenizer | None = None):
         self.seed = seed
-        self.tokenizer = tokenizer or _default_tokenizer()
+        self.tokenizer = tokenizer or Tokenizer()
 
     def segments(self, prompt: str) -> list[ScoredSegment]:
         """Scored neighbor blocks in prompt order (empty for zero-shot)."""
@@ -149,8 +156,8 @@ class PromptCompressor:
         Seed for the analyzer's tie-break jitter.  Compression is a pure
         function of (prompt, seed): identical inputs give identical bytes.
     tokenizer:
-        Shared :class:`~repro.text.tokenizer.Tokenizer`; defaults to the
-        library-wide instance.
+        Shared :class:`~repro.text.tokenizer.Tokenizer`; defaults to a
+        fresh one owned by this compressor.
     preserve_structure:
         When ``True`` (default) compression never goes below the block-free
         skeleton, keeping the prompt parseable; the budget is then met
@@ -173,9 +180,16 @@ class PromptCompressor:
         self.target_ratio = target_ratio
         self.target_tokens = target_tokens
         self.seed = seed
-        self.tokenizer = tokenizer or _default_tokenizer()
+        self.tokenizer = tokenizer or Tokenizer()
         self.preserve_structure = preserve_structure
         self.analyzer = ContextAnalyzer(seed=seed, tokenizer=self.tokenizer)
+        # Per instance, like the tokenizer's count memo: the settings above
+        # never change after construction, so a hit is what a fresh call
+        # would return, and ``compress`` stays the class method every call
+        # goes through.
+        self._compress_memo = lru_cache(maxsize=_COMPRESS_MEMO_SIZE)(
+            self._compress_uncached
+        )
 
     def budget_for(self, original_tokens: int, target_tokens: int | None = None) -> int:
         """Resolve the token budget for a prompt of ``original_tokens``."""
@@ -196,6 +210,11 @@ class PromptCompressor:
 
     def compress(self, prompt: str, target_tokens: int | None = None) -> CompressionResult:
         """Compress ``prompt`` to at most the resolved token budget."""
+        return self._compress_memo(prompt, target_tokens)
+
+    def _compress_uncached(
+        self, prompt: str, target_tokens: int | None
+    ) -> CompressionResult:
         if not prompt:
             raise ValueError("prompt must be non-empty")
         original = self.tokenizer.count(prompt)

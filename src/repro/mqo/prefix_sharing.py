@@ -29,17 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.text.tokenizer import Tokenizer, _default_tokenizer
+from repro.text.tokenizer import Tokenizer
 
 
 def shared_prefix_tokens(a: str, b: str, tokenizer: Tokenizer | None = None) -> int:
     """Number of leading tokens shared by two prompts.
 
     Pass a ``tokenizer`` to reuse one instance across a batch; the default
-    is the shared library tokenizer (never a fresh instance per call, which
-    made large-wave planning quadratic in constant overhead).
+    is a fresh default-configured one.
     """
-    tokenizer = tokenizer or _default_tokenizer()
+    tokenizer = tokenizer or Tokenizer()
     return _lcp(tuple(tokenizer.tokenize(a)), tuple(tokenizer.tokenize(b)))
 
 
@@ -95,7 +94,7 @@ def analyze_prefix_sharing(
     analyzed as-is.  Each prompt's tokens shared with its immediate
     predecessor count as cache hits.
     """
-    tokenizer = tokenizer or _default_tokenizer()
+    tokenizer = tokenizer or Tokenizer()
     if not prompts:
         return PrefixSharingReport(total_tokens=0, shared_tokens=0, num_prompts=0)
     order = sort_for_prefix_sharing(prompts) if reorder else list(range(len(prompts)))
@@ -187,7 +186,7 @@ def plan_prefix_batches(
     """
     if max_batch_size is not None and max_batch_size < 1:
         raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-    tokenizer = tokenizer or _default_tokenizer()
+    tokenizer = tokenizer or Tokenizer()
     n = len(prompts)
     if n == 0:
         return PrefixPlan(

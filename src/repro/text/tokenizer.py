@@ -7,6 +7,11 @@ punctuation marks count as their own tokens, and long words are broken into
 sub-word pieces (real BPE splits rare long words into several tokens).  On
 English-like text this averages roughly four characters per token, matching
 the rule of thumb used for GPT models.
+
+:meth:`Tokenizer.count` is memoised per instance: a bounded map from text to
+count that lives exactly as long as the tokenizer (one LLM, engine or
+compressor, so one run).  :meth:`Tokenizer.tokenize` and
+:meth:`Tokenizer.words` are not: they return fresh lists the caller owns.
 """
 
 from __future__ import annotations
@@ -17,6 +22,11 @@ from functools import lru_cache
 #: Whole words: ASCII alphanumeric runs, plus single non-ASCII characters
 #: that ``str.isalnum()`` accepts (``[^\W_]`` is exactly that class).
 _WORDS_RE = re.compile(r"[A-Za-z0-9]+|[^\W_A-Za-z0-9]")
+
+#: Distinct texts whose counts one tokenizer remembers.  A serve pass prices,
+#: previews, compresses and bills the same few hundred prompts repeatedly;
+#: 256 entries catch most of those repeats.
+_COUNT_MEMO_SIZE = 256
 
 #: Maximum characters per sub-word piece.  Words longer than this are split
 #: into consecutive chunks, mimicking byte-pair encodings of rare words.
@@ -37,6 +47,10 @@ class Tokenizer:
     """
 
     def __init__(self, max_piece_len: int = _MAX_PIECE_LEN, lowercase: bool = True):
+        if not isinstance(max_piece_len, int) or isinstance(max_piece_len, bool):
+            raise TypeError(
+                f"max_piece_len must be an int, got {type(max_piece_len).__name__}"
+            )
         if max_piece_len < 1:
             raise ValueError(f"max_piece_len must be >= 1, got {max_piece_len}")
         self.max_piece_len = max_piece_len
@@ -47,6 +61,10 @@ class Tokenizer:
         self._tokens_re = re.compile(
             rf"[A-Za-z0-9]{{1,{max_piece_len}}}|[^\sA-Za-z0-9]"
         )
+        # Built per instance, not as a class-level ``lru_cache`` (which would
+        # key on ``self`` and keep every tokenizer alive for the process).
+        # ``count`` stays the class method every call goes through.
+        self._count_memo = lru_cache(maxsize=_COUNT_MEMO_SIZE)(self._count_uncached)
 
     def tokenize(self, text: str) -> list[str]:
         """Split ``text`` into tokens (sub-word pieces and punctuation)."""
@@ -65,15 +83,13 @@ class Tokenizer:
         return _WORDS_RE.findall(text)
 
     def count(self, text: str) -> int:
-        """Number of tokens in ``text``."""
+        """Number of tokens in ``text`` (memoised per instance)."""
+        return self._count_memo(text)
+
+    def _count_uncached(self, text: str) -> int:
         return len(self.tokenize(text))
 
 
-@lru_cache(maxsize=1)
-def _default_tokenizer() -> Tokenizer:
-    return Tokenizer()
-
-
 def count_tokens(text: str) -> int:
-    """Count tokens with the library-default :class:`Tokenizer`."""
-    return _default_tokenizer().count(text)
+    """Count tokens with a default-configured :class:`Tokenizer`."""
+    return Tokenizer().count(text)

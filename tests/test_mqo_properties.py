@@ -13,7 +13,10 @@ Compression (:mod:`repro.mqo.compression`)
     - pure function of (prompt, seed): byte-identical across repeat calls
       and across fresh compressor instances;
     - ``savings_fraction`` is non-negative and consistent with the token
-      counts.
+      counts;
+    - the per-instance result memo is invisible: one compressor called
+      repeatedly, across more distinct prompts than the memo holds,
+      returns what a fresh compressor returns.
 
 Prefix sharing (:mod:`repro.mqo.prefix_sharing`)
     - the plan's ``order`` is a permutation of the input positions and its
@@ -34,13 +37,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.llm.simulated import SimulatedLLM, parse_prompt
-from repro.mqo.compression import ContextAnalyzer, PromptCompressor
+from repro.mqo.compression import (
+    _COMPRESS_MEMO_SIZE,
+    ContextAnalyzer,
+    PromptCompressor,
+)
 from repro.mqo.prefix_sharing import (
     analyze_prefix_sharing,
     plan_prefix_batches,
     shared_prefix_tokens,
 )
-from repro.text.tokenizer import _default_tokenizer
+from repro.prompts.builder import NeighborEntry, PromptBuilder
+from repro.text.tokenizer import Tokenizer
 
 MAX_EXAMPLES = 25
 
@@ -101,7 +109,7 @@ def test_structure_preservation_floors_at_skeleton(prompts, index, budget):
     """Default mode never drops below the block-free skeleton, and meets the
     budget whenever the skeleton itself fits it."""
     prompt = prompts[index]
-    tokenizer = _default_tokenizer()
+    tokenizer = Tokenizer()
     compressor = PromptCompressor(target_tokens=budget)
     result = compressor.compress(prompt)
     assert not result.truncated
@@ -133,6 +141,73 @@ def test_compression_is_deterministic_per_seed(prompts, index, ratio, seed):
     # And repeat calls on one instance agree with a fresh instance.
     shared = PromptCompressor(target_ratio=ratio, seed=seed)
     assert shared.compress(prompt) == shared.compress(prompt) == first
+
+
+#: Few words, so neighbor blocks overlap the target and each other and the
+#: relevance ranking has ties for the jitter to break.
+PROMPT_WORDS = ("graph", "neural", "boosting", "tokens", "query", "Σ", "2025", "cora")
+CLASSES = ["Alpha", "Beta", "Gamma"]
+
+phrases = st.lists(st.sampled_from(PROMPT_WORDS), min_size=1, max_size=10).map(" ".join)
+neighbor_lists = st.lists(
+    st.builds(
+        NeighborEntry,
+        title=phrases,
+        abstract=st.none() | phrases,
+        label_name=st.none() | st.sampled_from(CLASSES),
+    ),
+    max_size=6,
+)
+#: Constructor budget: a ratio, an absolute count, or none (then every call
+#: passes its own ``target_tokens``).
+constructor_budgets = st.one_of(
+    st.none(),
+    st.builds(dict, target_ratio=st.floats(0.1, 1.0)),
+    st.builds(dict, target_tokens=st.integers(1, 150)),
+)
+
+
+@given(
+    title=phrases,
+    abstract=phrases,
+    neighbors=neighbor_lists,
+    shared_first=st.booleans(),
+    budget=constructor_budgets,
+    call_targets=st.lists(st.none() | st.integers(1, 150), min_size=1, max_size=3),
+    preserve_structure=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=MAX_EXAMPLES, deadline=None)
+def test_memoised_compress_equals_a_fresh_compressor(
+    title,
+    abstract,
+    neighbors,
+    shared_first,
+    budget,
+    call_targets,
+    preserve_structure,
+    seed,
+    order,
+):
+    builder = PromptBuilder(CLASSES, shared_first=shared_first)
+    config = dict(budget or {}, seed=seed, preserve_structure=preserve_structure)
+    if budget is None:
+        call_targets = [40 if t is None else t for t in call_targets]
+    # More distinct prompts than the memo holds; prompt 0 is also asked at
+    # every call-time budget, so one prompt lives under several keys.
+    prompts = [
+        builder.with_neighbors(f"{title} {i}", abstract, neighbors)
+        for i in range(_COMPRESS_MEMO_SIZE + 20)
+    ]
+    keys = [(p, call_targets[i % len(call_targets)]) for i, p in enumerate(prompts)]
+    keys += [(prompts[0], t) for t in call_targets]
+    expected = {key: PromptCompressor(**config).compress(*key) for key in keys}
+    shared = PromptCompressor(**config)
+    again = keys[:]
+    order.shuffle(again)
+    for key in keys + again + again[:10] * 2:
+        assert shared.compress(*key) == expected[key]
 
 
 @given(index=st.integers(min_value=0, max_value=39))
@@ -175,7 +250,7 @@ def test_plan_is_permutation_partition_and_balances(prompts, max_batch):
     # Per-prompt credits: first of each batch pays in full, the rest share
     # at most their own token count, and the credits sum to the report.
     assert len(plan.shared_by_prompt) == n
-    tokenizer = _default_tokenizer()
+    tokenizer = Tokenizer()
     for batch in plan.batches:
         assert plan.shared_by_prompt[batch[0]] == 0
         for position in batch:
@@ -207,7 +282,7 @@ def test_analyzer_savings_nonnegative_and_reorder_never_hurts(prompts):
 @given(a=prompt_strategy, b=prompt_strategy)
 @settings(max_examples=50, deadline=None)
 def test_shared_prefix_tokens_is_symmetric_and_bounded(a, b):
-    tokenizer = _default_tokenizer()
+    tokenizer = Tokenizer()
     shared = shared_prefix_tokens(a, b, tokenizer=tokenizer)
     assert shared == shared_prefix_tokens(b, a, tokenizer=tokenizer)
     assert 0 <= shared <= min(tokenizer.count(a), tokenizer.count(b))

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import random
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.text.tokenizer import Tokenizer, count_tokens
+from repro.text.tokenizer import _COUNT_MEMO_SIZE, Tokenizer, count_tokens
 
 
 class TestTokenize:
@@ -30,9 +32,14 @@ class TestTokenize:
     def test_empty_text(self):
         assert Tokenizer().tokenize("") == []
 
-    def test_invalid_piece_len(self):
-        with pytest.raises(ValueError):
-            Tokenizer(max_piece_len=0)
+    @pytest.mark.parametrize(
+        "max_piece_len, error", [(0, ValueError), (2.5, TypeError), (True, TypeError)]
+    )
+    def test_invalid_piece_len(self, max_piece_len, error):
+        # A float or bool would be pasted into the ``{1,n}`` quantifier as
+        # literal text, and every count would silently read 0.
+        with pytest.raises(error):
+            Tokenizer(max_piece_len=max_piece_len)
 
 
 class TestWords:
@@ -114,3 +121,58 @@ class TestReferenceOracle:
         assert tokenizer.tokenize(text) == expected
         assert tokenizer.count(text) == len(expected)
         assert tokenizer.words(text) == _reference_words(text, lowercase)
+
+
+class TestCountMemo:
+    """``count`` is memoised per instance; the memo must equal its oracle."""
+
+    @pytest.mark.parametrize("lowercase", [True, False])
+    @pytest.mark.parametrize("max_piece_len", range(1, 11))
+    @settings(max_examples=8, deadline=None)
+    @given(
+        pool=st.lists(st.one_of(st.text(max_size=40), _TRICKY), min_size=1, max_size=6),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_memoised_count_equals_tokenize(self, max_piece_len, lowercase, pool, order):
+        tokenizer = Tokenizer(max_piece_len=max_piece_len, lowercase=lowercase)
+        # More distinct texts than the memo holds, counted, then counted
+        # again in a shuffled order (evicted and resident entries alike),
+        # then a run of immediate repeats.
+        texts = [f"{pool[i % len(pool)]} {i}" for i in range(_COUNT_MEMO_SIZE + 40)]
+        again = texts[:]
+        order.shuffle(again)
+        for text in texts + again + again[:20] * 2:
+            assert tokenizer.count(text) == len(tokenizer.tokenize(text))
+
+    def test_threads_get_the_serial_answers(self):
+        rng = random.Random(7)
+        words = ["graph", "neighbor", "Token", "budget", "x", "Σß", "2025", "!"]
+        texts = [" ".join(rng.choices(words, k=rng.randint(0, 12))) for _ in range(400)]
+        serial = [Tokenizer().count(text) for text in texts]
+        shared = Tokenizer()
+
+        def worker(offset: int) -> list[int]:
+            # Each worker walks the same texts from its own offset, so the
+            # four overlap on every text and race on misses and evictions.
+            n = len(texts)
+            return [shared.count(texts[(offset + i) % n]) for i in range(3 * n)]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(worker, [0, 100, 200, 300]))
+        for offset, counts in zip([0, 100, 200, 300], results):
+            n = len(texts)
+            assert counts == [serial[(offset + i) % n] for i in range(3 * n)]
+
+    def test_each_tokenizer_starts_empty(self, monkeypatch):
+        calls = []
+        original = Tokenizer.tokenize
+
+        def spy(self, text):
+            calls.append((id(self), text))
+            return original(self, text)
+
+        monkeypatch.setattr(Tokenizer, "tokenize", spy)
+        first, second = Tokenizer(), Tokenizer()
+        assert first.count("graph mining") == first.count("graph mining") == 2
+        assert second.count("graph mining") == 2
+        assert calls == [(id(first), "graph mining"), (id(second), "graph mining")]
