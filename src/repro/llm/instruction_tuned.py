@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.llm.bias import BiasProfile
 from repro.llm.simulated import SimulatedLLM
-from repro.text.tokenizer import Tokenizer
 from repro.text.vocabulary import ClassVocabulary
 
 
@@ -78,7 +77,6 @@ class InstructionTunedLLM(SimulatedLLM):
         vocabulary: ClassVocabulary,
         config: BackboneConfig,
         seed: int = 0,
-        tokenizer: Tokenizer | None = None,
     ):
         neighbor_weight = self._BASE_NEIGHBOR_WEIGHT
         label_weight = self._BASE_LABEL_WEIGHT
@@ -101,6 +99,5 @@ class InstructionTunedLLM(SimulatedLLM):
             noise_scale=0.05,
             bias=bias,
             seed=seed,
-            tokenizer=tokenizer,
         )
         self.config = config

@@ -74,7 +74,10 @@ class LLMClient(abc.ABC):
     """Abstract black-box LLM.
 
     Subclasses implement :meth:`_complete`; the public :meth:`complete`
-    wraps it with token counting so usage is tracked uniformly.
+    wraps it with token counting so usage is tracked uniformly.  A client
+    owns a fresh :class:`~repro.text.tokenizer.Tokenizer` unless one is
+    passed: wrappers pass their inner client's, so a stack shares one
+    count memo.
     """
 
     def __init__(self, name: str, tokenizer: Tokenizer | None = None):

@@ -17,7 +17,6 @@ import re
 import numpy as np
 
 from repro.llm.interface import LLMClient
-from repro.text.tokenizer import Tokenizer
 from repro.text.vocabulary import ClassVocabulary
 from repro.utils.rng import spawn_rng
 
@@ -83,9 +82,8 @@ class SimulatedLinkLLM(LLMClient):
         common_neighbor_weight: float = 0.9,
         noise_scale: float = 0.12,
         seed: int = 0,
-        tokenizer: Tokenizer | None = None,
     ):
-        super().__init__(name=name, tokenizer=tokenizer)
+        super().__init__(name=name)
         self.vocabulary = vocabulary
         self.threshold = threshold
         self.text_weight = text_weight

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from repro.llm.bias import BiasProfile
 from repro.llm.simulated import SimulatedLLM
-from repro.text.tokenizer import Tokenizer
 from repro.text.vocabulary import ClassVocabulary
 
 
@@ -60,12 +59,7 @@ MODEL_PROFILES: dict[str, ModelProfile] = {
 }
 
 
-def make_model(
-    name: str,
-    vocabulary: ClassVocabulary,
-    seed: int = 0,
-    tokenizer: Tokenizer | None = None,
-) -> SimulatedLLM:
+def make_model(name: str, vocabulary: ClassVocabulary, seed: int = 0) -> SimulatedLLM:
     """Instantiate a preset simulated model by name."""
     key = name.lower()
     if key not in MODEL_PROFILES:
@@ -88,5 +82,4 @@ def make_model(
         noise_scale=profile.noise_scale,
         bias=bias,
         seed=seed,
-        tokenizer=tokenizer,
     )

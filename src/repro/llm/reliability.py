@@ -81,10 +81,10 @@ def track_call_retries():
     """Count the retries any :class:`RetryingLLM` performs on *this thread*
     for the duration of the block.
 
-    Unlike summing :func:`stack_retries` before and after a call — which
-    double-counts retries from concurrent queries — the tally is
-    thread-local, so the engine can tag a record ``retried`` correctly
-    whether the call ran serially or on a dispatcher thread.
+    Unlike diffing the wrappers' shared ``retries`` counters before and
+    after a call — which double-counts retries from concurrent queries —
+    the tally is thread-local, so the engine can tag a record ``retried``
+    correctly whether the call ran serially or on a dispatcher thread.
     """
     stack = getattr(_TALLIES, "stack", None)
     if stack is None:
@@ -565,16 +565,3 @@ def resilient(
         clock=clock,
     )
     return CircuitBreakerLLM(retrying, breaker=breaker, advance_per_call=advance_per_call)
-
-
-def stack_retries(llm: LLMClient) -> int:
-    """Total retry count summed over a wrapper chain (via ``.inner`` links).
-
-    The engine uses this to tag records that succeeded only after retries.
-    """
-    total = 0
-    current: LLMClient | None = llm
-    while current is not None:
-        total += getattr(current, "retries", 0)
-        current = getattr(current, "inner", None)
-    return total

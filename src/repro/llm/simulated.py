@@ -41,7 +41,6 @@ import numpy as np
 from repro.llm.bias import BiasProfile
 from repro.llm.interface import LLMClient
 from repro.llm.responses import format_category_response
-from repro.text.tokenizer import Tokenizer
 from repro.text.vocabulary import ClassVocabulary
 from repro.utils.rng import spawn_rng
 
@@ -135,9 +134,8 @@ class SimulatedLLM(LLMClient):
         noise_scale: float = 0.06,
         bias: BiasProfile | None = None,
         seed: int = 0,
-        tokenizer: Tokenizer | None = None,
     ):
-        super().__init__(name=name, tokenizer=tokenizer)
+        super().__init__(name=name)
         for pname, value in (
             ("text_weight", text_weight),
             ("neighbor_weight", neighbor_weight),

@@ -27,7 +27,9 @@ compresses to the same bytes in the serve gate's cost estimate, the
 engine's execution, and a crash/resume replay.  A compressor therefore
 memoises its results per instance, keyed by ``(prompt, target_tokens)``:
 the gate's previews, the prefix planner and execution compress each
-distinct prompt once.
+distinct prompt once.  Token counts come from the compressor's own
+:class:`~repro.text.tokenizer.Tokenizer`, which has no settings, so the
+budget a compressor meets is counted exactly as the LLM bills the prompt.
 """
 
 from __future__ import annotations
@@ -73,12 +75,13 @@ class ContextAnalyzer:
     target section's words (the prompt text outside the neighbor blocks),
     plus :data:`_LABEL_BONUS` when the block carries a neighbor
     label line.  A seeded jitter below any meaningful score difference
-    makes the induced ranking total and deterministic.
+    makes the induced ranking total and deterministic.  The analyzer owns
+    the :class:`~repro.text.tokenizer.Tokenizer` that counts block tokens.
     """
 
-    def __init__(self, seed: int = 0, tokenizer: Tokenizer | None = None):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.tokenizer = tokenizer or Tokenizer()
+        self.tokenizer = Tokenizer()
 
     def segments(self, prompt: str) -> list[ScoredSegment]:
         """Scored neighbor blocks in prompt order (empty for zero-shot)."""
@@ -144,6 +147,9 @@ class CompressionResult:
 class PromptCompressor:
     """Drop low-relevance neighbor blocks until a prompt meets a budget.
 
+    Prompts and blocks are counted by one tokenizer (the analyzer's), so
+    its count memo and the result memo both live as long as the compressor.
+
     Parameters
     ----------
     target_ratio:
@@ -155,9 +161,6 @@ class PromptCompressor:
     seed:
         Seed for the analyzer's tie-break jitter.  Compression is a pure
         function of (prompt, seed): identical inputs give identical bytes.
-    tokenizer:
-        Shared :class:`~repro.text.tokenizer.Tokenizer`; defaults to a
-        fresh one owned by this compressor.
     preserve_structure:
         When ``True`` (default) compression never goes below the block-free
         skeleton, keeping the prompt parseable; the budget is then met
@@ -170,7 +173,6 @@ class PromptCompressor:
         target_ratio: float | None = None,
         target_tokens: int | None = None,
         seed: int = 0,
-        tokenizer: Tokenizer | None = None,
         preserve_structure: bool = True,
     ):
         if target_ratio is not None and not 0.0 < target_ratio <= 1.0:
@@ -180,9 +182,9 @@ class PromptCompressor:
         self.target_ratio = target_ratio
         self.target_tokens = target_tokens
         self.seed = seed
-        self.tokenizer = tokenizer or Tokenizer()
         self.preserve_structure = preserve_structure
-        self.analyzer = ContextAnalyzer(seed=seed, tokenizer=self.tokenizer)
+        self.analyzer = ContextAnalyzer(seed=seed)
+        self.tokenizer = self.analyzer.tokenizer
         # Per instance, like the tokenizer's count memo: the settings above
         # never change after construction, so a hit is what a fresh call
         # would return, and ``compress`` stays the class method every call

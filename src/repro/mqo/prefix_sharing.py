@@ -22,7 +22,9 @@ Two layers live here:
 
 Planning is accounting-only: a plan never changes which prompts execute or
 in what canonical order, so simulated-mode runs stay bit-identical to
-serial runs with or without it.
+serial runs with or without it.  Each call tokenizes with a fresh
+:class:`~repro.text.tokenizer.Tokenizer`; the tokenizer has no settings, so
+its token totals equal the LLM's billed ``prompt_tokens``.
 """
 
 from __future__ import annotations
@@ -32,13 +34,9 @@ from dataclasses import dataclass
 from repro.text.tokenizer import Tokenizer
 
 
-def shared_prefix_tokens(a: str, b: str, tokenizer: Tokenizer | None = None) -> int:
-    """Number of leading tokens shared by two prompts.
-
-    Pass a ``tokenizer`` to reuse one instance across a batch; the default
-    is a fresh default-configured one.
-    """
-    tokenizer = tokenizer or Tokenizer()
+def shared_prefix_tokens(a: str, b: str) -> int:
+    """Number of leading tokens shared by two prompts."""
+    tokenizer = Tokenizer()
     return _lcp(tuple(tokenizer.tokenize(a)), tuple(tokenizer.tokenize(b)))
 
 
@@ -85,7 +83,6 @@ class PrefixSharingReport:
 def analyze_prefix_sharing(
     prompts: list[str],
     reorder: bool = True,
-    tokenizer: Tokenizer | None = None,
 ) -> PrefixSharingReport:
     """Measure prefix-cache savings over a batch of prompts.
 
@@ -94,7 +91,7 @@ def analyze_prefix_sharing(
     analyzed as-is.  Each prompt's tokens shared with its immediate
     predecessor count as cache hits.
     """
-    tokenizer = tokenizer or Tokenizer()
+    tokenizer = Tokenizer()
     if not prompts:
         return PrefixSharingReport(total_tokens=0, shared_tokens=0, num_prompts=0)
     order = sort_for_prefix_sharing(prompts) if reorder else list(range(len(prompts)))
@@ -167,9 +164,7 @@ def _cut_batches(
 
 
 def plan_prefix_batches(
-    prompts: list[str],
-    max_batch_size: int | None = None,
-    tokenizer: Tokenizer | None = None,
+    prompts: list[str], max_batch_size: int | None = None
 ) -> PrefixPlan:
     """Group a wave's prompts into prefix-sharing batches.
 
@@ -186,7 +181,7 @@ def plan_prefix_batches(
     """
     if max_batch_size is not None and max_batch_size < 1:
         raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-    tokenizer = tokenizer or Tokenizer()
+    tokenizer = Tokenizer()
     n = len(prompts)
     if n == 0:
         return PrefixPlan(

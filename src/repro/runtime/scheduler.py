@@ -324,11 +324,7 @@ class QueryScheduler:
                 )
                 for item in fresh_items
             ]
-            plan = plan_prefix_batches(
-                prompts,
-                max_batch_size=self.max_batch_size,
-                tokenizer=engine.llm.tokenizer,
-            )
+            plan = plan_prefix_batches(prompts, max_batch_size=self.max_batch_size)
             num_batches = plan.num_batches
         self.last_plan = plan
         if engine.observer is not None:

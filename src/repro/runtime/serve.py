@@ -49,6 +49,7 @@ See ``docs/serving.md`` for the full contract and knobs.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -120,8 +121,10 @@ class ServeRequest:
     include_neighbors: bool = True
 
     def __post_init__(self) -> None:
-        if self.arrival < 0:
-            raise ValueError("arrival must be >= 0")
+        # NaN would compare false against every clock time, and inf would
+        # drive the serving clock (and the makespan) to infinity.
+        if not math.isfinite(self.arrival) or self.arrival < 0:
+            raise ValueError(f"arrival must be finite and >= 0, got {self.arrival}")
 
 
 @dataclass(frozen=True)
@@ -1092,10 +1095,12 @@ def load_requests(path: str | Path, on_error: str = "raise") -> list[ServeReques
 
     ``arrival`` (simulated seconds) and ``include_neighbors`` are optional
     per line.  A malformed line — broken JSON, unknown or missing fields,
-    out-of-domain values — is *detected* and either raises a ``ValueError``
-    naming the exact line (``on_error="raise"``, the default) or is skipped
-    while the valid remainder loads (``on_error="skip"``, the recovery mode
-    for streams damaged by a partial write).
+    out-of-domain values (a non-finite or negative arrival, a non-integer
+    node, a non-boolean ``include_neighbors``) — is *detected* and either
+    raises a ``ValueError`` naming the exact line (``on_error="raise"``, the
+    default) or is skipped while the valid remainder loads
+    (``on_error="skip"``, the recovery mode for streams damaged by a partial
+    write).
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -1111,11 +1116,21 @@ def load_requests(path: str | Path, on_error: str = "raise") -> list[ServeReques
             extra = set(payload) - known
             if extra:
                 raise ValueError(f"unknown request fields {sorted(extra)}")
+            # ``int()``/``bool()`` would turn 3.7 into node 3, true into
+            # node 1 and "no" into True; only the JSON types themselves load.
+            node = payload["node"]
+            if not isinstance(node, int) or isinstance(node, bool):
+                raise ValueError(f"node must be an integer, got {node!r}")
+            include_neighbors = payload.get("include_neighbors", True)
+            if not isinstance(include_neighbors, bool):
+                raise ValueError(
+                    f"include_neighbors must be a boolean, got {include_neighbors!r}"
+                )
             request = ServeRequest(
                 tenant=payload["tenant"],
-                node=int(payload["node"]),
+                node=node,
                 arrival=float(payload.get("arrival", 0.0)),
-                include_neighbors=bool(payload.get("include_neighbors", True)),
+                include_neighbors=include_neighbors,
             )
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
             if on_error == "skip":

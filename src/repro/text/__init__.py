@@ -7,13 +7,12 @@ deterministic given a seed so experiments are exactly reproducible.
 
 from repro.text.encoders import BagOfWordsEncoder, HashingEncoder, TfidfEncoder
 from repro.text.similarity import cosine_similarity, pairwise_cosine, top_k_similar
-from repro.text.tokenizer import Tokenizer, count_tokens
+from repro.text.tokenizer import Tokenizer
 from repro.text.vocabulary import ClassVocabulary, WordFactory
 from repro.text.corpus import NodeText, TextSynthesizer
 
 __all__ = [
     "Tokenizer",
-    "count_tokens",
     "WordFactory",
     "ClassVocabulary",
     "TextSynthesizer",

@@ -65,12 +65,12 @@ class BagOfWordsEncoder:
         otherwise raw counts.
     """
 
-    def __init__(self, dim: int, binary: bool = True, tokenizer: Tokenizer | None = None):
+    def __init__(self, dim: int, binary: bool = True):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self.binary = binary
-        self.tokenizer = tokenizer or Tokenizer()
+        self.tokenizer = Tokenizer()
         self.vocabulary_: dict[str, int] | None = None
 
     def fit(self, documents: list[str]) -> "BagOfWordsEncoder":
@@ -100,11 +100,11 @@ class BagOfWordsEncoder:
 class TfidfEncoder:
     """TF-IDF over the ``dim`` most frequent words, L2-normalized rows."""
 
-    def __init__(self, dim: int, tokenizer: Tokenizer | None = None):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self.tokenizer = tokenizer or Tokenizer()
+        self.tokenizer = Tokenizer()
         self.vocabulary_: dict[str, int] | None = None
         self.idf_: np.ndarray | None = None
 
@@ -160,13 +160,7 @@ class LSAEncoder:
         dense gram matrix the decomposition runs on.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        tokenizer: Tokenizer | None = None,
-        min_df: int = 3,
-        max_vocab: int = 8192,
-    ):
+    def __init__(self, dim: int, min_df: int = 3, max_vocab: int = 8192):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if min_df < 1:
@@ -176,7 +170,7 @@ class LSAEncoder:
         self.dim = dim
         self.min_df = min_df
         self.max_vocab = max_vocab
-        self.tokenizer = tokenizer or Tokenizer()
+        self.tokenizer = Tokenizer()
         self.vocabulary_: dict[str, int] | None = None
         self.idf_: np.ndarray | None = None
         self.components_: np.ndarray | None = None
@@ -265,12 +259,12 @@ class HashingEncoder:
     where building an explicit vocabulary would be wasteful.
     """
 
-    def __init__(self, dim: int, tokenizer: Tokenizer | None = None, seed: int = 0):
+    def __init__(self, dim: int, seed: int = 0):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self.seed = seed
-        self.tokenizer = tokenizer or Tokenizer()
+        self.tokenizer = Tokenizer()
 
     def _bucket(self, word: str) -> tuple[int, float]:
         from repro.utils.rng import stable_hash

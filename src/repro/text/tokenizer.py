@@ -8,6 +8,12 @@ sub-word pieces (real BPE splits rare long words into several tokens).  On
 English-like text this averages roughly four characters per token, matching
 the rule of thumb used for GPT models.
 
+Like a tiktoken encoding, the tokenizer has no settings: text is lower-cased
+and alphanumeric runs are cut into pieces of at most :data:`_MAX_PIECE_LEN`
+characters, so every :class:`Tokenizer` counts the same tokens and the
+budget gate, the compressor and the billed ``prompt_tokens`` agree by
+construction.
+
 :meth:`Tokenizer.count` is memoised per instance: a bounded map from text to
 count that lives exactly as long as the tokenizer (one LLM, engine or
 compressor, so one run).  :meth:`Tokenizer.tokenize` and
@@ -19,6 +25,15 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
+#: Maximum characters per sub-word piece.  Words longer than this are split
+#: into consecutive chunks, mimicking byte-pair encodings of rare words.
+_MAX_PIECE_LEN = 6
+
+#: Tokens: a greedy ``{1,n}`` run splits a long alphanumeric word into
+#: consecutive n-character chunks; every other non-space character is a
+#: token of its own.
+_TOKENS_RE = re.compile(rf"[A-Za-z0-9]{{1,{_MAX_PIECE_LEN}}}|[^\sA-Za-z0-9]")
+
 #: Whole words: ASCII alphanumeric runs, plus single non-ASCII characters
 #: that ``str.isalnum()`` accepts (``[^\W_]`` is exactly that class).
 _WORDS_RE = re.compile(r"[A-Za-z0-9]+|[^\W_A-Za-z0-9]")
@@ -28,39 +43,15 @@ _WORDS_RE = re.compile(r"[A-Za-z0-9]+|[^\W_A-Za-z0-9]")
 #: 256 entries catch most of those repeats.
 _COUNT_MEMO_SIZE = 256
 
-#: Maximum characters per sub-word piece.  Words longer than this are split
-#: into consecutive chunks, mimicking byte-pair encodings of rare words.
-_MAX_PIECE_LEN = 6
-
 
 class Tokenizer:
-    """Word/sub-word tokenizer with deterministic output.
+    """Lower-casing word/sub-word tokenizer with deterministic output.
 
-    Parameters
-    ----------
-    max_piece_len:
-        Longest sub-word piece emitted; longer alphanumeric runs are split
-        into consecutive chunks of at most this length.
-    lowercase:
-        Whether tokens are lower-cased (the default, since class-keyword
-        matching in the simulated LLM is case-insensitive).
+    Lower-casing matches the simulated LLM's case-insensitive class-keyword
+    matching.  Each instance owns its :meth:`count` memo.
     """
 
-    def __init__(self, max_piece_len: int = _MAX_PIECE_LEN, lowercase: bool = True):
-        if not isinstance(max_piece_len, int) or isinstance(max_piece_len, bool):
-            raise TypeError(
-                f"max_piece_len must be an int, got {type(max_piece_len).__name__}"
-            )
-        if max_piece_len < 1:
-            raise ValueError(f"max_piece_len must be >= 1, got {max_piece_len}")
-        self.max_piece_len = max_piece_len
-        self.lowercase = lowercase
-        # A greedy ``{1,n}`` run splits a long alphanumeric word into
-        # consecutive n-character chunks; every other non-space character
-        # is a token of its own.
-        self._tokens_re = re.compile(
-            rf"[A-Za-z0-9]{{1,{max_piece_len}}}|[^\sA-Za-z0-9]"
-        )
+    def __init__(self):
         # Built per instance, not as a class-level ``lru_cache`` (which would
         # key on ``self`` and keep every tokenizer alive for the process).
         # ``count`` stays the class method every call goes through.
@@ -68,9 +59,7 @@ class Tokenizer:
 
     def tokenize(self, text: str) -> list[str]:
         """Split ``text`` into tokens (sub-word pieces and punctuation)."""
-        if self.lowercase:
-            text = text.lower()
-        return self._tokens_re.findall(text)
+        return _TOKENS_RE.findall(text.lower())
 
     def words(self, text: str) -> list[str]:
         """Split ``text`` into whole alphanumeric words (no sub-word pieces).
@@ -78,9 +67,7 @@ class Tokenizer:
         Used by the simulated LLM for vocabulary matching, where splitting a
         keyword into pieces would destroy the match.
         """
-        if self.lowercase:
-            text = text.lower()
-        return _WORDS_RE.findall(text)
+        return _WORDS_RE.findall(text.lower())
 
     def count(self, text: str) -> int:
         """Number of tokens in ``text`` (memoised per instance)."""
@@ -88,8 +75,3 @@ class Tokenizer:
 
     def _count_uncached(self, text: str) -> int:
         return len(self.tokenize(text))
-
-
-def count_tokens(text: str) -> int:
-    """Count tokens with a default-configured :class:`Tokenizer`."""
-    return Tokenizer().count(text)

@@ -127,6 +127,26 @@ class TestMalformedRequestStream:
             load_requests(path)
         assert load_requests(path, on_error="skip") == []
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"tenant": "a", "node": 1, "arrival": NaN}',
+            '{"tenant": "a", "node": 1, "arrival": Infinity}',
+            '{"tenant": "a", "node": 3.7}',
+            '{"tenant": "a", "node": true}',
+            '{"tenant": "a", "node": 1, "include_neighbors": "no"}',
+        ],
+        ids=["nan-arrival", "inf-arrival", "float-node", "bool-node", "string-flag"],
+    )
+    def test_out_of_domain_value_is_malformed(self, tmp_path, bad_line):
+        path = tmp_path / "stream.jsonl"
+        path.write_text('{"tenant": "a", "node": 2, "arrival": 0.5}\n' + bad_line + "\n")
+        with pytest.raises(ValueError, match=r"stream\.jsonl:2"):
+            load_requests(path)
+        assert [(r.node, r.arrival) for r in load_requests(path, on_error="skip")] == [
+            (2, 0.5)
+        ]
+
     def test_bad_on_error_mode_rejected(self):
         with pytest.raises(ValueError, match="on_error"):
             load_requests(MALFORMED_STREAM, on_error="ignore")

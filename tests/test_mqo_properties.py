@@ -283,10 +283,10 @@ def test_analyzer_savings_nonnegative_and_reorder_never_hurts(prompts):
 @settings(max_examples=50, deadline=None)
 def test_shared_prefix_tokens_is_symmetric_and_bounded(a, b):
     tokenizer = Tokenizer()
-    shared = shared_prefix_tokens(a, b, tokenizer=tokenizer)
-    assert shared == shared_prefix_tokens(b, a, tokenizer=tokenizer)
+    shared = shared_prefix_tokens(a, b)
+    assert shared == shared_prefix_tokens(b, a)
     assert 0 <= shared <= min(tokenizer.count(a), tokenizer.count(b))
-    assert shared_prefix_tokens(a, a, tokenizer=tokenizer) == tokenizer.count(a)
+    assert shared_prefix_tokens(a, a) == tokenizer.count(a)
 
 
 def test_real_prompt_batch_balances_on_the_tiny_graph(prompts):

@@ -157,12 +157,9 @@ class TestSharedFirstLayout:
     def test_shared_first_front_loads_the_common_prefix(self, engines, tiny_split):
         default, shared = engines
         nodes = [int(v) for v in tiny_split.queries[:2]]
-        tok = shared.llm.tokenizer
         d = [default.build_prompt(n, include_neighbors=True)[0] for n in nodes]
         s = [shared.build_prompt(n, include_neighbors=True)[0] for n in nodes]
-        assert shared_prefix_tokens(s[0], s[1], tokenizer=tok) > shared_prefix_tokens(
-            d[0], d[1], tokenizer=tok
-        )
+        assert shared_prefix_tokens(s[0], s[1]) > shared_prefix_tokens(d[0], d[1])
 
 
 # -------------------------------------------------------- engine compressed rung

@@ -69,6 +69,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="arrival"):
             ServeRequest("a", 1, arrival=-1.0)
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_request_rejects_non_finite_arrival(self, arrival):
+        with pytest.raises(ValueError, match="finite"):
+            ServeRequest("a", 1, arrival=arrival)
+
     def test_tenant_spec_validation(self):
         with pytest.raises(ValueError, match="name"):
             TenantSpec("")
