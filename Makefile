@@ -79,13 +79,15 @@ bench-check:
 report:
 	python -m repro.cli report --output reproduction_report.md
 
-# Emit a real instrumented run and validate its trace against the schema.
+# Emit a real instrumented run, validate its trace against the schema and
+# render it through `repro trace`.
 trace-smoke:
 	mkdir -p .smoke
 	PYTHONPATH=src python -m repro.cli classify --dataset cora --scale 0.15 \
 		--queries 8 --strategy boost --cache --trace .smoke/trace.jsonl \
 		--metrics .smoke/metrics.prom
 	PYTHONPATH=src python -m repro.obs.schema .smoke/trace.jsonl
+	PYTHONPATH=src python -m repro.cli trace .smoke/trace.jsonl
 
 # Chaos smoke: run the combined-incident and checkpoint-crash presets
 # end-to-end (fault injection, invariant audit, crash/resume replay

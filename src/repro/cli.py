@@ -96,6 +96,49 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+def _instrumentation(args: argparse.Namespace, clock, strategy: str):
+    """The run's ``--trace/--metrics`` observer, or None without either flag."""
+    if not (args.trace or args.metrics):
+        return None
+    from uuid import uuid4
+
+    from repro.obs import Instrumentation
+
+    return Instrumentation(
+        run_id=uuid4().hex[:12],
+        clock=clock,
+        labels={
+            "dataset": args.dataset,
+            "method": args.method,
+            "strategy": strategy,
+            "model": args.model,
+        },
+    )
+
+
+def _write_observability(args: argparse.Namespace, instr) -> None:
+    """Write the run's trace and metrics files, then print its trace summary."""
+    if instr is None:
+        return
+    from pathlib import Path
+
+    from repro.obs import render_trace_summary
+
+    if args.trace:
+        path = instr.write_trace(args.trace)
+        print(f"  trace     : {path} ({len(instr.tracer.spans)} spans)")
+    if args.metrics:
+        path = Path(args.metrics)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.suffix == ".json":
+            path.write_text(instr.registry.to_json(indent=2) + "\n")
+        else:
+            path.write_text(instr.registry.to_prometheus())
+        print(f"  metrics   : {path}")
+    print()
+    print(render_trace_summary(instr.trace_lines()))
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.analysis.costs import cost_summary
     from repro.core.boosting import QueryBoostingStrategy
@@ -131,27 +174,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.strategy in ("prune", "joint") or args.failure_rate > 0:
         scorer = fit_scorer(setup, model=args.model)
 
-    instr = None
-    clock = None
-    if args.trace or args.metrics:
-        from uuid import uuid4
-
-        from repro.obs import Instrumentation
-
-        # One simulated clock shared by the retry/breaker stack, the span
-        # tracer and the engine's latency stamps, so every timestamp in the
-        # trace lives on the same (deterministic) timeline.
-        clock = SimulatedClock()
-        instr = Instrumentation(
-            run_id=uuid4().hex[:12],
-            clock=clock,
-            labels={
-                "dataset": args.dataset,
-                "method": args.method,
-                "strategy": args.strategy,
-                "model": args.model,
-            },
-        )
+    # One simulated clock shared by the retry/breaker stack, the span
+    # tracer and the engine's latency stamps, so every timestamp in the
+    # trace lives on the same (deterministic) timeline.
+    clock = SimulatedClock() if args.trace or args.metrics else None
+    instr = _instrumentation(args, clock, args.strategy)
 
     llm = None
     ladder = None
@@ -322,24 +349,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         print(f"  saved run : {save_run(result, args.save_run)}")
     if args.csv:
         print(f"  saved csv : {write_csv(result, args.csv)}")
-    if instr is not None:
-        from pathlib import Path
-
-        from repro.obs import render_trace_summary
-
-        if args.trace:
-            path = instr.write_trace(args.trace)
-            print(f"  trace     : {path} ({len(instr.tracer.spans)} spans)")
-        if args.metrics:
-            path = Path(args.metrics)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if path.suffix == ".json":
-                path.write_text(instr.registry.to_json(indent=2) + "\n")
-            else:
-                path.write_text(instr.registry.to_prometheus())
-            print(f"  metrics   : {path}")
-        print()
-        print(render_trace_summary(instr.trace_lines()))
+    _write_observability(args, instr)
     return 0
 
 
@@ -413,23 +423,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.save_requests:
         print(f"request stream : {save_requests(stream, args.save_requests)}")
 
-    instr = None
     clock = SimulatedClock()
-    if args.trace or args.metrics:
-        from uuid import uuid4
-
-        from repro.obs import Instrumentation
-
-        instr = Instrumentation(
-            run_id=uuid4().hex[:12],
-            clock=clock,
-            labels={
-                "dataset": args.dataset,
-                "method": args.method,
-                "strategy": "serve",
-                "model": args.model,
-            },
-        )
+    instr = _instrumentation(args, clock, "serve")
     if args.compress_watermark is not None and args.compress is None:
         print("--compress-watermark needs --compress RATIO", file=sys.stderr)
         return 2
@@ -552,24 +547,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             title="Per-tenant serving summary",
         )
     )
-    if instr is not None:
-        from pathlib import Path
-
-        from repro.obs import render_trace_summary
-
-        if args.trace:
-            path = instr.write_trace(args.trace)
-            print(f"  trace     : {path} ({len(instr.tracer.spans)} spans)")
-        if args.metrics:
-            path = Path(args.metrics)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            if path.suffix == ".json":
-                path.write_text(instr.registry.to_json(indent=2) + "\n")
-            else:
-                path.write_text(instr.registry.to_prometheus())
-            print(f"  metrics   : {path}")
-        print()
-        print(render_trace_summary(instr.trace_lines()))
+    _write_observability(args, instr)
     return 0
 
 
@@ -701,15 +679,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import TraceSchemaError, read_trace, render_trace_summary, validate_trace_lines
+    from repro.obs import render_trace_summary
 
-    try:
-        lines = read_trace(args.path)
-        validate_trace_lines(lines)
-    except (TraceSchemaError, ValueError, OSError) as error:
-        print(f"INVALID trace: {error}", file=sys.stderr)
+    bundle = _load_bundle(args.path)
+    if bundle is None:
         return 1
-    print(render_trace_summary(lines))
+    print(render_trace_summary(bundle.lines))
     return 0
 
 
@@ -735,19 +710,19 @@ def _emit(title: str, section_list, payload: dict, fmt: str) -> None:
 
 def _cmd_analyze_critical_path(args: argparse.Namespace) -> int:
     import json as _json
+    from pathlib import Path
 
     from repro.obs.insight import analyze_bench, analyze_trace
     from repro.obs.insight import critical_path as cp
 
     # A BENCH_scheduler.json artifact is a single JSON object with a
     # "waves" key; anything else is treated as a JSONL trace.
-    payload = None
     try:
-        payload = _json.loads(open(args.path).read())
+        payload = _json.loads(Path(args.path).read_text())
     except (ValueError, OSError):
         payload = None
     extra_sections = []
-    report_payload = None
+    dependency = None
     if isinstance(payload, dict) and "waves" in payload:
         report = analyze_bench(payload)
         title = "Critical-path analysis (bench artifact)"
@@ -758,17 +733,14 @@ def _cmd_analyze_critical_path(args: argparse.Namespace) -> int:
         report = analyze_trace(
             bundle, concurrency=args.concurrency, batch_size=args.batch_size
         )
-        context = bundle.context()
-        title = f"Critical-path analysis ({context})" if context else "Critical-path analysis"
+        title = bundle.title("Critical-path analysis")
         # v3 traces from DAG dispatch carry readiness attributes; upgrade
         # barrier-stall blame to dependency-stall blame (no-op otherwise).
         extra_sections = cp.dependency_sections(bundle)
         dependency = cp.dependency_summary(bundle)
-        if dependency is not None:
-            report_payload = report.to_dict()
-            report_payload["dependency"] = dependency
-    if report_payload is None:
-        report_payload = report.to_dict()
+    report_payload = report.to_dict()
+    if dependency is not None:
+        report_payload["dependency"] = dependency
     _emit(title, cp.sections(report) + extra_sections, report_payload, args.format)
     return 0
 
@@ -781,8 +753,6 @@ def _cmd_analyze_costs(args: argparse.Namespace) -> int:
     if bundle is None:
         return 1
     report = attribute(bundle)
-    context = bundle.context()
-    title = f"Cost attribution ({context})" if context else "Cost attribution"
     section_list = am.sections(report, top_nodes=args.top)
     problems = verify(bundle, report)
     if problems:
@@ -794,7 +764,7 @@ def _cmd_analyze_costs(args: argparse.Namespace) -> int:
         )
     payload = report.to_dict()
     payload["reconciliation_problems"] = problems
-    _emit(title, section_list, payload, args.format)
+    _emit(bundle.title("Cost attribution"), section_list, payload, args.format)
     if problems:
         for problem in problems:
             print(f"RECONCILIATION FAIL: {problem}", file=sys.stderr)
@@ -819,9 +789,7 @@ def _cmd_analyze_slo(args: argparse.Namespace) -> int:
         print(f"INVALID objectives: {error}", file=sys.stderr)
         return 1
     report = evaluate(bundle, objectives=objectives, windows=args.windows)
-    context = bundle.context()
-    title = f"SLO attainment ({context})" if context else "SLO attainment"
-    _emit(title, sm.sections(report), report.to_dict(), args.format)
+    _emit(bundle.title("SLO attainment"), sm.sections(report), report.to_dict(), args.format)
     if args.fail_on_breach and not report.all_met:
         breached = [r.objective.name for r in report.results if not r.met]
         print(f"SLO BREACHED: {', '.join(breached)}", file=sys.stderr)
@@ -1019,6 +987,16 @@ def _cmd_prices(args: argparse.Namespace) -> int:
     ]
     print(render_table(["Model", "Input /1k tok", "Output /1k tok"], rows, title="Token pricing"))
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1392,11 +1370,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("path", help="JSONL trace, or a BENCH_scheduler.json artifact")
     sub.add_argument(
-        "--concurrency", type=int, default=4,
+        "--concurrency", type=_positive_int, default=4,
         help="virtual workers for trace packing (default: 4)",
     )
     sub.add_argument(
-        "--batch-size", type=int, default=None,
+        "--batch-size", type=_positive_int, default=None,
         help="batch barrier width (default: whole wave)",
     )
     _add_format(sub)

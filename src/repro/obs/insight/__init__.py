@@ -15,6 +15,11 @@ ledgers.  Four analyzers, surfaced as ``repro analyze`` subcommands:
 * :mod:`~repro.obs.insight.diff` — direction-aware cross-run regression
   diffing with the verdict the benchmark gate consumes.
 
+All four, and the ``repro trace`` summary (:mod:`repro.obs.summary`),
+read a trace through :class:`~repro.obs.insight.bundle.RunBundle`; its
+:meth:`~repro.obs.insight.bundle.RunBundle.settled_queries` is the one
+definition of a settled query and what it paid.
+
 Reports are deterministic: bit-identical runs render byte-identical
 reports (no run ids, no wall-clock timestamps, fixed precision).
 """

@@ -131,25 +131,14 @@ def attribute(bundle: RunBundle) -> AttributionReport:
     """Build the full attribution report for one bundle."""
     report = AttributionReport()
     query_ids: dict[str, float] = {}
-    for span in bundle.query_spans():
-        attrs = span.get("attributes", {})
-        if "outcome" not in attrs:
-            continue  # deferred: a later round's span carries the spend
-        replayed = bool(attrs.get("replayed"))
-        outcome = "replayed" if replayed else str(attrs["outcome"])
-        prompt = 0 if replayed else int(attrs.get("prompt_tokens", 0))
-        completion = 0 if replayed else int(attrs.get("completion_tokens", 0))
-        usd = 0.0 if replayed else float(attrs.get("cost_usd", 0.0))
-        _accumulate(report.by_outcome.setdefault(outcome, Rollup()), prompt, completion, usd)
-        _accumulate(report.total, prompt, completion, usd)
-        node = f"node {attrs.get('node', '?')}"
-        _accumulate(report.by_node.setdefault(node, Rollup()), prompt, completion, usd)
-        tier = attrs.get("tier")
-        if tier is not None:
-            _accumulate(
-                report.by_tier.setdefault(str(tier), Rollup()), prompt, completion, usd
-            )
-        query_ids[span["span_id"]] = float(span.get("duration", 0.0))
+    for query in bundle.settled_queries():
+        spend = (query.prompt_tokens, query.completion_tokens, query.cost_usd)
+        _accumulate(report.by_outcome.setdefault(query.bucket, Rollup()), *spend)
+        _accumulate(report.total, *spend)
+        _accumulate(report.by_node.setdefault(f"node {query.node}", Rollup()), *spend)
+        if query.tier is not None:
+            _accumulate(report.by_tier.setdefault(query.tier, Rollup()), *spend)
+        query_ids[query.span_id] = query.duration
 
     # Phase attribution: child-span time inside query spans, plus the
     # unattributed remainder ("other": ladder walks, record assembly).

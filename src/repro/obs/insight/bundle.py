@@ -3,9 +3,17 @@
 A *bundle* is everything one instrumented run leaves behind in a single
 trace file: the ``run`` header, the span lines, and (usually) the trailing
 ``metrics`` snapshot.  :class:`RunBundle` wraps the parsed lines with the
-accessors every analyzer needs — query spans, point events, metric family
-totals — so critical-path, attribution, SLO and diff analysis all read the
-same validated view instead of re-walking raw JSONL.
+accessors every reader needs — query spans, settled queries, point events,
+metric family totals — so the ``repro trace`` summary and the
+critical-path, attribution, SLO and diff analyzers all read the same view
+instead of re-walking raw JSONL.
+
+A query *settles* when its ``query`` span carries an ``outcome``: a span
+without one is an attempt whose call failed and was deferred to a later
+round, where a fresh span settles the node.  A settled span flagged
+``replayed`` came back from a checkpoint or journal; it lands in the
+``replayed`` bucket and paid nothing in this run.  That rule lives in
+:meth:`RunBundle.settled_queries` and nowhere else.
 
 Everything here is pure post-hoc: a bundle is built from a file (or parsed
 lines) after the run finished, never from live objects, so analysis can
@@ -17,8 +25,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.schema import validate_trace_lines
 from repro.obs.tracing import read_trace
+
+
+@dataclass(frozen=True)
+class SettledQuery:
+    """One settled ``query`` span and what this run paid for it.
+
+    ``bucket`` is ``"replayed"`` for a replayed span and its outcome
+    otherwise; tokens and ``cost_usd`` are zero when replayed.
+    """
+
+    span_id: str
+    node: object
+    bucket: str
+    replayed: bool
+    tier: str | None
+    round_index: int | None
+    prompt_tokens: int
+    completion_tokens: int
+    cost_usd: float
+    start: float
+    end: float
+    duration: float
 
 
 @dataclass
@@ -32,6 +61,10 @@ class RunBundle:
     @classmethod
     def load(cls, path: str | Path) -> "RunBundle":
         """Read a JSONL trace file into a bundle; a trace is always schema-validated."""
+        # Imported here: ``repro.obs`` loads this module, and
+        # ``python -m repro.obs.schema`` must not find the schema imported.
+        from repro.obs.schema import validate_trace_lines
+
         lines = read_trace(path)
         validate_trace_lines(lines)
         return cls.from_lines(lines, path=Path(path))
@@ -62,10 +95,12 @@ class RunBundle:
     def labels(self) -> dict[str, str]:
         return dict(self.header.get("labels", {}))
 
-    def context(self) -> str:
-        """``k=v`` label summary for report headings (never the run id —
-        reports must stay byte-identical across replays of the same run)."""
-        return " ".join(f"{k}={v}" for k, v in sorted(self.labels.items()))
+    def title(self, name: str) -> str:
+        """``name`` with the run's ``k=v`` labels appended, for report
+        headings (the labels never hold the run id, so replays of the same
+        run render the same heading)."""
+        context = " ".join(f"{k}={v}" for k, v in sorted(self.labels.items()))
+        return f"{name} ({context})" if context else name
 
     # ----------------------------------------------------------------- spans
 
@@ -79,12 +114,38 @@ class RunBundle:
     def query_spans(self) -> list[dict]:
         return self.spans_named("query")
 
+    def settled_queries(self) -> list[SettledQuery]:
+        """Every query span that carries an ``outcome``, in trace order."""
+        settled = []
+        for span in self.query_spans():
+            attrs = span.get("attributes", {})
+            if "outcome" not in attrs:
+                continue  # deferred: a later round's span settles the node
+            replayed = bool(attrs.get("replayed"))
+            tier, round_index = attrs.get("tier"), attrs.get("round_index")
+            settled.append(
+                SettledQuery(
+                    span_id=span["span_id"],
+                    node=attrs.get("node", "?"),
+                    bucket="replayed" if replayed else str(attrs["outcome"]),
+                    replayed=replayed,
+                    tier=None if tier is None else str(tier),
+                    round_index=None if round_index is None else int(round_index),
+                    prompt_tokens=0 if replayed else int(attrs.get("prompt_tokens", 0)),
+                    completion_tokens=(
+                        0 if replayed else int(attrs.get("completion_tokens", 0))
+                    ),
+                    cost_usd=0.0 if replayed else float(attrs.get("cost_usd", 0.0)),
+                    start=float(span.get("start", 0.0)),
+                    end=float(span.get("end", 0.0)),
+                    duration=float(span.get("duration", 0.0)),
+                )
+            )
+        return settled
+
     def events(self, name: str) -> list[dict]:
         """Point events of ``name`` (zero-duration spans), in emission order."""
         return self.spans_named(name)
-
-    def children_of(self, span_id: str) -> list[dict]:
-        return [s for s in self.spans if s.get("parent_id") == span_id]
 
     def span_window(self) -> tuple[float, float]:
         """(earliest start, latest end) across all spans; (0, 0) when empty."""
@@ -101,37 +162,32 @@ class RunBundle:
     def has_metrics(self) -> bool:
         return bool(self._families)
 
+    def _series(self, name: str) -> list[tuple[dict, float]]:
+        """(labels, value) per series of one family; histograms give counts."""
+        family = self._families.get(name, {})
+        key = "count" if family.get("kind") == "histogram" else "value"
+        return [
+            (entry.get("labels", {}), float(entry.get(key, 0)))
+            for entry in family.get("series", [])
+        ]
+
     def metric_total(self, name: str, **label_filter: str) -> float:
         """Sum a family's series matching ``label_filter`` (0.0 if absent).
 
         Histogram series total their observation *counts*, mirroring
         :meth:`repro.obs.metrics.MetricsRegistry.total`.
         """
-        family = self._families.get(name)
-        if family is None:
-            return 0.0
         wanted = {(k, str(v)) for k, v in label_filter.items()}
         total = 0.0
-        for entry in family.get("series", []):
-            entry_labels = set(entry.get("labels", {}).items())
-            if wanted <= entry_labels:
-                if family.get("kind") == "histogram":
-                    total += float(entry.get("count", 0))
-                else:
-                    total += float(entry.get("value", 0.0))
+        for labels, value in self._series(name):
+            if wanted <= set(labels.items()):
+                total += value
         return total
 
     def metric_series(self, name: str, by_label: str) -> dict[str, float]:
         """Per-``by_label`` totals of one family (empty dict if absent)."""
-        family = self._families.get(name)
-        if family is None:
-            return {}
         out: dict[str, float] = {}
-        for entry in family.get("series", []):
-            key = str(entry.get("labels", {}).get(by_label, ""))
-            if family.get("kind") == "histogram":
-                value = float(entry.get("count", 0))
-            else:
-                value = float(entry.get("value", 0.0))
+        for labels, value in self._series(name):
+            key = str(labels.get(by_label, ""))
             out[key] = out.get(key, 0.0) + value
         return out

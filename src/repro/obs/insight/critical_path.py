@@ -4,10 +4,9 @@ ROADMAP item 1 blames the wave barrier for the scheduler's speedup ceiling;
 this module turns that hunch into numbers.  From a trace it reconstructs the
 dependency waves (each boosting ``round`` span is one wave, top-level query
 runs form ``plain`` waves), replays each wave's measured per-query latencies
-through the *same* greedy next-free-worker packing the scheduler's
-simulated dispatch uses (:meth:`repro.runtime.scheduler.QueryScheduler.
-_overlap`), and decomposes every wave's makespan into compute vs
-barrier-stall idle:
+through the greedy next-free-worker packing the scheduler's simulated
+dispatch runs (:func:`repro.runtime.scheduler.greedy_pack`), and
+decomposes every wave's makespan into compute vs barrier-stall idle:
 
 ``stall = concurrency × makespan − Σ latencies``
 
@@ -40,6 +39,7 @@ from typing import Sequence
 
 from repro.obs.insight.bundle import RunBundle
 from repro.obs.insight.report import Section, fmt_ratio, fmt_seconds
+from repro.runtime.scheduler import _chunks, greedy_pack
 
 
 @dataclass(frozen=True)
@@ -151,12 +151,13 @@ class CriticalPathReport:
 # ------------------------------------------------------------ wave packing
 
 
-def _chunks(items: list, size: int | None) -> list[list]:
-    if not items:
-        return []
-    if size is None or size >= len(items):
-        return [items]
-    return [items[i : i + size] for i in range(0, len(items), size)]
+def _stall_and_utilization(
+    serial: float, makespan: float, concurrency: int
+) -> tuple[float, float]:
+    """Barrier-stall worker-seconds and busy share of ``concurrency`` workers."""
+    stall = max(0.0, concurrency * makespan - serial)
+    utilization = serial / (concurrency * makespan) if makespan > 0 else 1.0
+    return stall, utilization
 
 
 def pack_wave(
@@ -168,40 +169,40 @@ def pack_wave(
 ) -> WavePath:
     """Replay one wave's latencies through the scheduler's virtual packing.
 
-    Mirrors ``QueryScheduler._overlap`` exactly (greedy next-free worker,
-    batch barriers) but additionally tracks which query finishes each batch
-    — the blocking query — and per-worker busy time for the utilization
-    timeline.
+    Packs each batch with :func:`repro.runtime.scheduler.greedy_pack`, the
+    loop ``QueryScheduler._overlap`` runs, and additionally names the query
+    that finishes each batch — the blocking query — and sums per-worker busy
+    time for the utilization timeline.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("batch_size must be >= 1 or None")
     serial = sum(q.latency for q in queries)
+    batches = _chunks(list(queries), batch_size)
     makespan = 0.0
     worker_busy = [0.0] * concurrency
-    blocking: tuple[float, str, float] | None = None  # (batch makespan, name, latency)
-    for batch in _chunks(list(queries), batch_size):
-        workers = [0.0] * min(concurrency, len(batch))
-        batch_blocker: tuple[str, float] | None = None
-        for query in batch:
-            slot = workers.index(min(workers))
-            workers[slot] += query.latency
-            worker_busy[slot] += query.latency
-            if batch_blocker is None or workers[slot] >= max(workers):
-                batch_blocker = (query.name, query.latency)
+    blocking: tuple[float, str] | None = None  # (batch makespan, query name)
+    for batch in batches:
+        workers, placed = greedy_pack([q.latency for q in batch], concurrency)
         batch_makespan = max(workers, default=0.0)
+        batch_blocker = None
+        for query, (slot, finish) in zip(batch, placed):
+            worker_busy[slot] += query.latency
+            if finish == batch_makespan:
+                batch_blocker = query.name
         makespan += batch_makespan
         if batch_blocker is not None and (
             blocking is None or batch_makespan > blocking[0]
         ):
-            blocking = (batch_makespan, batch_blocker[0], batch_blocker[1])
-    stall = max(0.0, concurrency * makespan - serial)
-    utilization = serial / (concurrency * makespan) if makespan > 0 else 1.0
+            blocking = (batch_makespan, batch_blocker)
+    stall, utilization = _stall_and_utilization(serial, makespan, concurrency)
     longest = max((q.latency for q in queries), default=0.0)
     return WavePath(
         index=index,
         label=label,
         num_queries=len(queries),
-        num_batches=len(_chunks(list(queries), batch_size)),
+        num_batches=len(batches),
         serial_seconds=serial,
         makespan_seconds=makespan,
         stall_seconds=stall,
@@ -283,6 +284,7 @@ def analyze_bench(payload: dict) -> CriticalPathReport:
     for i, wave in enumerate(payload.get("waves", [])):
         serial = float(wave.get("serial_seconds", 0.0))
         makespan = float(wave.get("overlapped_seconds", 0.0))
+        stall, utilization = _stall_and_utilization(serial, makespan, concurrency)
         waves.append(
             WavePath(
                 index=i,
@@ -291,10 +293,8 @@ def analyze_bench(payload: dict) -> CriticalPathReport:
                 num_batches=int(wave.get("num_batches", 0)),
                 serial_seconds=serial,
                 makespan_seconds=makespan,
-                stall_seconds=max(0.0, concurrency * makespan - serial),
-                utilization=(
-                    serial / (concurrency * makespan) if makespan > 0 else 1.0
-                ),
+                stall_seconds=stall,
+                utilization=utilization,
                 blocking_query=None,
                 longest_query_seconds=per_call,
                 worker_busy=(),

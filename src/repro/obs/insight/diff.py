@@ -79,22 +79,19 @@ def summarize_bundle(bundle: RunBundle) -> dict[str, float]:
     else:
         latencies = []
 
-    queries = 0
+    settled = bundle.settled_queries()
+    queries = len(settled)
     prompt_tokens = 0
     completion_tokens = 0
     cost_usd = 0.0
-    for span in bundle.query_spans():
-        attrs = span.get("attributes", {})
-        if "outcome" not in attrs:
-            continue
-        queries += 1
-        if attrs.get("replayed"):
+    for query in settled:
+        if query.replayed:
             continue
         if not completions:
-            latencies.append(float(span.get("duration", 0.0)))
-        prompt_tokens += int(attrs.get("prompt_tokens", 0))
-        completion_tokens += int(attrs.get("completion_tokens", 0))
-        cost_usd += float(attrs.get("cost_usd", 0.0))
+            latencies.append(query.duration)
+        prompt_tokens += query.prompt_tokens
+        completion_tokens += query.completion_tokens
+        cost_usd += query.cost_usd
     summary["queries"] = float(queries)
     summary["prompt_tokens"] = float(prompt_tokens)
     summary["completion_tokens"] = float(completion_tokens)

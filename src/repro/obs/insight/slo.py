@@ -170,23 +170,17 @@ def events_from_bundle(bundle: RunBundle) -> list[SLOEvent]:
             for e in completions
         ]
     events = []
-    for span in bundle.query_spans():
-        attrs = span.get("attributes", {})
-        if "outcome" not in attrs or attrs.get("replayed"):
+    for query in bundle.settled_queries():
+        if query.replayed:
             continue
-        outcome = str(attrs["outcome"])
-        if outcome in ("ok", "retried"):
+        if query.bucket in ("ok", "retried"):
             status = "served"
-        elif outcome == "abstained":
+        elif query.bucket == "abstained":
             status = "rejected"
         else:
             status = "degraded"
         events.append(
-            SLOEvent(
-                at=float(span.get("end", 0.0)),
-                status=status,
-                latency_seconds=float(span.get("duration", 0.0)),
-            )
+            SLOEvent(at=query.end, status=status, latency_seconds=query.duration)
         )
     return events
 
@@ -213,12 +207,7 @@ def evaluate(
         good = sum(1 for e in events if _is_good(objective, e))
         total = len(events)
         ratio = good / total if total else 1.0
-        budget = 1.0 - objective.target_ratio
-        overall_bad = 1.0 - ratio
-        overall_burn = (
-            0.0 if overall_bad == 0.0
-            else (overall_bad / budget if budget > 0 else INFINITE_BURN)
-        )
+        burns = _window_burns(objective, events, windows)
         results.append(
             ObjectiveResult(
                 objective=objective,
@@ -226,15 +215,20 @@ def evaluate(
                 good=good,
                 attained_ratio=ratio,
                 met=ratio >= objective.target_ratio,
-                overall_burn=overall_burn,
-                max_window_burn=max(
-                    (w.burn_rate for w in _window_burns(objective, events, windows)),
-                    default=0.0,
-                ),
-                windows=tuple(_window_burns(objective, events, windows)),
+                overall_burn=_burn(1.0 - ratio, objective),
+                max_window_burn=max((w.burn_rate for w in burns), default=0.0),
+                windows=tuple(burns),
             )
         )
     return SLOReport(results=tuple(results))
+
+
+def _burn(bad_ratio: float, objective: SLObjective) -> float:
+    """Bad fraction over the objective's error budget (0 when nothing was bad)."""
+    budget = 1.0 - objective.target_ratio
+    if bad_ratio == 0.0:
+        return 0.0
+    return bad_ratio / budget if budget > 0 else INFINITE_BURN
 
 
 def _window_burns(
@@ -244,7 +238,6 @@ def _window_burns(
         return []
     t0, t1 = events[0].at, events[-1].at
     span = t1 - t0
-    budget = 1.0 - objective.target_ratio
     if span <= 0.0:
         windows = 1
     width = span / windows if windows else 0.0
@@ -258,12 +251,11 @@ def _window_burns(
             bucket = [e for e in events if lo <= e.at < hi]
         bad = sum(1 for e in bucket if not _is_good(objective, e))
         bad_ratio = bad / len(bucket) if bucket else 0.0
-        burn = (
-            0.0 if bad_ratio == 0.0
-            else (bad_ratio / budget if budget > 0 else INFINITE_BURN)
-        )
         out.append(
-            WindowBurn(start=lo, end=hi, events=len(bucket), bad=bad, burn_rate=burn)
+            WindowBurn(
+                start=lo, end=hi, events=len(bucket), bad=bad,
+                burn_rate=_burn(bad_ratio, objective),
+            )
         )
     return out
 

@@ -7,101 +7,67 @@ went by outcome tier and boosting round, what the circuit breaker did and
 when, how the response cache performed, and how much of the run was
 replayed from a checkpoint.  ``repro trace FILE`` and ``repro classify
 --trace`` both end here, so the file on disk and the console agree.
+
+Every figure is read through :class:`~repro.obs.insight.bundle.RunBundle`:
+settled queries and their paid tokens come from the same accessor the
+``repro analyze`` reports use, so the summary and the analyzers cannot
+disagree on what a query paid.  The cost column is the model-priced
+``repro_cost_usd_total`` counter, not the span ``cost_usd`` that
+attribution sums.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.experiments.report import render_table
+from repro.obs.insight.attribution import attribute
+from repro.obs.insight.bundle import RunBundle
 
 
-def _query_spans(lines: list[dict]) -> list[dict]:
-    return [ln for ln in lines if ln.get("kind") == "span" and ln.get("name") == "query"]
-
-
-def _events(lines: list[dict], name: str) -> list[dict]:
-    return [ln for ln in lines if ln.get("kind") == "span" and ln.get("name") == name]
-
-
-def _metrics(lines: list[dict]) -> dict:
-    for line in lines:
-        if line.get("kind") == "metrics":
-            return line.get("families", {})
-    return {}
-
-
-def _family_totals(families: dict, name: str, by_label: str | None = None) -> dict[str, float]:
-    """Sum a counter family's series, optionally keyed by one label."""
-    totals: dict[str, float] = defaultdict(float)
-    for entry in families.get(name, {}).get("series", []):
-        key = entry["labels"].get(by_label, "") if by_label else ""
-        totals[key] += float(entry.get("value", 0.0))
-    return dict(totals)
-
-
-def outcome_breakdown(lines: list[dict]) -> list[tuple[str, int, int, int, float | None]]:
+def outcome_breakdown(bundle: RunBundle) -> list[tuple[str, int, int, int, float | None]]:
     """(outcome, queries, prompt_tokens, completion_tokens, cost) rows.
 
     Token counts are *paid* tokens: replayed spans contribute zero.  Cost
     comes from the metrics snapshot when present (``None`` per row
     otherwise, e.g. for unpriced simulated models).
     """
-    counts: dict[str, list[int]] = defaultdict(lambda: [0, 0, 0])
-    for span in _query_spans(lines):
-        attrs = span.get("attributes", {})
-        if "outcome" not in attrs:
-            # A query whose call failed and produced no record (the node was
-            # deferred to a later round, where a fresh query span covers it).
-            continue
-        outcome = "replayed" if attrs.get("replayed") else str(attrs["outcome"])
-        row = counts[outcome]
-        row[0] += 1
-        if not attrs.get("replayed"):
-            row[1] += int(attrs.get("prompt_tokens", 0))
-            row[2] += int(attrs.get("completion_tokens", 0))
-    cost_by_outcome = _family_totals(_metrics(lines), "repro_cost_usd_total", "outcome")
+    cost_by_outcome = bundle.metric_series("repro_cost_usd_total", "outcome")
     return [
-        (outcome, n, p, c, cost_by_outcome.get(outcome))
-        for outcome, (n, p, c) in sorted(counts.items())
+        (outcome, r.queries, r.prompt_tokens, r.completion_tokens,
+         cost_by_outcome.get(outcome))
+        for outcome, r in sorted(attribute(bundle).by_outcome.items())
     ]
 
 
-def round_breakdown(lines: list[dict]) -> list[tuple[int, int, int, int]]:
+def round_breakdown(bundle: RunBundle) -> list[tuple[int, int, int, int]]:
     """(round, queries, paid_tokens, replayed) rows; empty for unboosted runs."""
-    rows: dict[int, list[int]] = defaultdict(lambda: [0, 0, 0])
-    for span in _query_spans(lines):
-        attrs = span.get("attributes", {})
-        round_index = attrs.get("round_index")
-        if round_index is None or "outcome" not in attrs:
+    rows: dict[int, list[int]] = {}
+    for query in bundle.settled_queries():
+        if query.round_index is None:
             continue
-        row = rows[int(round_index)]
+        row = rows.setdefault(query.round_index, [0, 0, 0])
         row[0] += 1
-        if attrs.get("replayed"):
-            row[2] += 1
-        else:
-            row[1] += int(attrs.get("prompt_tokens", 0)) + int(attrs.get("completion_tokens", 0))
+        row[1] += query.prompt_tokens + query.completion_tokens
+        row[2] += int(query.replayed)
     return [(r, n, tokens, replayed) for r, (n, tokens, replayed) in sorted(rows.items())]
 
 
-def breaker_timeline(lines: list[dict]) -> list[str]:
+def breaker_timeline(bundle: RunBundle) -> list[str]:
     """Chronological ``t=...s old→new`` strings for breaker transitions."""
     out = []
-    for event in _events(lines, "breaker_transition"):
+    for event in bundle.events("breaker_transition"):
         attrs = event.get("attributes", {})
         out.append(f"t={float(attrs.get('at', event.get('start', 0.0))):.1f}s "
                    f"{attrs.get('old')}→{attrs.get('new')}")
     return out
 
 
-def cache_efficiency(lines: list[dict]) -> dict[str, float] | None:
+def cache_efficiency(bundle: RunBundle) -> dict[str, float] | None:
     """hits/misses/evictions/hit_rate from the metrics snapshot, or None."""
-    families = _metrics(lines)
-    hits = sum(_family_totals(families, "repro_cache_hits_total").values())
-    misses = sum(_family_totals(families, "repro_cache_misses_total").values())
+    hits = bundle.metric_total("repro_cache_hits_total")
+    misses = bundle.metric_total("repro_cache_misses_total")
     if hits + misses == 0:
         return None
-    evictions = sum(_family_totals(families, "repro_cache_evictions_total").values())
+    evictions = bundle.metric_total("repro_cache_evictions_total")
     return {
         "hits": hits,
         "misses": misses,
@@ -112,24 +78,15 @@ def cache_efficiency(lines: list[dict]) -> dict[str, float] | None:
 
 def render_trace_summary(lines: list[dict]) -> str:
     """Render the full per-run summary for one parsed trace."""
-    header = lines[0] if lines and lines[0].get("kind") == "run" else {}
-    labels = header.get("labels", {})
-    parts = []
-    context = " ".join(f"{k}={v}" for k, v in sorted(labels.items()))
-    parts.append(f"run {header.get('run_id', '?')}" + (f" ({context})" if context else ""))
+    bundle = RunBundle.from_lines(lines)
+    parts = [bundle.title(f"run {bundle.run_id}")]
 
-    tiers = outcome_breakdown(lines)
+    tiers = outcome_breakdown(bundle)
     if tiers:
         total_queries = sum(n for _, n, _, _, _ in tiers)
         total_tokens = sum(p + c for _, _, p, c, _ in tiers)
         rows = [
-            (
-                outcome,
-                n,
-                f"{p:,}",
-                f"{c:,}",
-                "-" if cost is None else f"${cost:.4f}",
-            )
+            (outcome, n, f"{p:,}", f"{c:,}", "-" if cost is None else f"${cost:.4f}")
             for outcome, n, p, c, cost in tiers
         ]
         parts.append(
@@ -143,7 +100,7 @@ def render_trace_summary(lines: list[dict]) -> str:
     else:
         parts.append("no query spans in trace")
 
-    rounds = round_breakdown(lines)
+    rounds = round_breakdown(bundle)
     if rounds:
         parts.append(
             render_table(
@@ -153,30 +110,27 @@ def render_trace_summary(lines: list[dict]) -> str:
             )
         )
 
-    timeline = breaker_timeline(lines)
+    timeline = breaker_timeline(bundle)
     if timeline:
         parts.append("breaker timeline : " + "; ".join(timeline))
 
-    retries = len(_events(lines, "retry"))
+    retries = bundle.events("retry")
     if retries:
-        waited = sum(
-            float(e.get("attributes", {}).get("wait_seconds", 0.0))
-            for e in _events(lines, "retry")
-        )
-        parts.append(f"retries          : {retries} ({waited:.1f}s simulated backoff)")
+        waited = sum(float(e.get("attributes", {}).get("wait_seconds", 0.0)) for e in retries)
+        parts.append(f"retries          : {len(retries)} ({waited:.1f}s simulated backoff)")
 
-    deferrals = len(_events(lines, "deferral"))
+    deferrals = len(bundle.events("deferral"))
     if deferrals:
         parts.append(f"deferrals        : {deferrals}")
 
-    cache = cache_efficiency(lines)
+    cache = cache_efficiency(bundle)
     if cache is not None:
         parts.append(
             f"cache            : {cache['hits']:.0f} hits / {cache['misses']:.0f} misses "
             f"({cache['hit_rate']:.1%} hit rate, {cache['evictions']:.0f} evictions)"
         )
 
-    replays = _events(lines, "checkpoint_loaded")
+    replays = bundle.events("checkpoint_loaded")
     if replays:
         n = sum(int(e.get("attributes", {}).get("num_records", 0)) for e in replays)
         parts.append(f"checkpoint       : resumed with {n} replayed records")

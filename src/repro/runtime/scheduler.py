@@ -211,6 +211,24 @@ def _chunks(items: list, size: int | None) -> list[list]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
+def greedy_pack(
+    latencies: list[float], concurrency: int
+) -> tuple[list[float], list[tuple[int, float]]]:
+    """Virtual packing of one batch: each latency, in canonical order, goes
+    to the next-free of ``min(concurrency, len(latencies))`` workers.
+
+    Returns the workers' busy seconds (the batch's makespan is their max)
+    and each latency's ``(worker slot, finish time)``.
+    """
+    workers = [0.0] * min(concurrency, len(latencies))
+    placed = []
+    for latency in latencies:
+        slot = workers.index(min(workers))
+        workers[slot] += latency
+        placed.append((slot, workers[slot]))
+    return workers, placed
+
+
 class QueryScheduler:
     """Wave dispatcher with batching and (virtual or real) concurrency.
 
@@ -444,10 +462,7 @@ class QueryScheduler:
             batches = _chunks(latencies, self.max_batch_size)
         overlapped = 0.0
         for batch in batches:
-            workers = [0.0] * min(self.max_concurrency, len(batch))
-            for latency in batch:
-                slot = workers.index(min(workers))
-                workers[slot] += latency
+            workers, _ = greedy_pack(batch, self.max_concurrency)
             overlapped += max(workers, default=0.0)
         return serial, overlapped
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -303,6 +305,19 @@ class TestAnalyzeCommand:
     def test_requires_analysis_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analyze"])
+
+    @pytest.mark.parametrize(
+        "flags", [["--batch-size", "0"], ["--batch-size", "-1"], ["--concurrency", "0"]]
+    )
+    def test_critical_path_rejects_nonpositive_sizes(self, capsys, flags):
+        trace = Path(__file__).parent / "data" / "golden_scheduler_trace.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "critical-path", str(trace), *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err
+        assert f"argument {flags[0]}: must be >= 1" in captured.err
+        assert captured.out == ""
 
     def test_critical_path_on_trace(self, capsys, traced_run):
         trace_path, _args = traced_run

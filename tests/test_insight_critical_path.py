@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.insight import RunBundle, analyze_bench, analyze_trace, pack_wave
 from repro.obs.insight import critical_path as cp
@@ -91,28 +93,32 @@ class TestPackWave:
         )
         assert wave.blocking_query == "c"
 
-    def test_mirrors_scheduler_overlap_packing(self):
-        # The analyzer's virtual packing must agree with the scheduler's own
-        # greedy next-free-worker accounting on arbitrary latency profiles.
-        latencies = [0.7, 2.3, 1.1, 0.2, 3.4, 0.9, 1.6, 0.5]
-        concurrency, batch_size = 3, 4
-        expected = 0.0
-        for lo in range(0, len(latencies), batch_size):
-            batch = latencies[lo : lo + batch_size]
-            workers = [0.0] * min(concurrency, len(batch))
-            for latency in batch:
-                slot = workers.index(min(workers))
-                workers[slot] += latency
-            expected += max(workers)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        latencies=st.lists(
+            st.floats(min_value=0.0, max_value=50.0, allow_nan=False), max_size=24
+        ),
+        concurrency=st.integers(min_value=1, max_value=6),
+        batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+    )
+    def test_mirrors_scheduler_overlap_packing(self, latencies, concurrency, batch_size):
+        # The analyzer's virtual packing must agree bit for bit with the
+        # scheduler's own accounting on arbitrary latency profiles.
         wave = pack_wave(
             0, "w", [WaveQuery(f"q{i}", v) for i, v in enumerate(latencies)],
             concurrency=concurrency, batch_size=batch_size,
         )
-        assert wave.makespan_seconds == pytest.approx(expected)
+        scheduler = QueryScheduler(max_batch_size=batch_size, max_concurrency=concurrency)
+        assert wave.makespan_seconds == scheduler._overlap(latencies)[1]
 
     def test_rejects_nonpositive_concurrency(self):
         with pytest.raises(ValueError):
             pack_wave(0, "w", [], concurrency=0, batch_size=None)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_nonpositive_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            pack_wave(0, "w", [WaveQuery("a", 1.0)], concurrency=2, batch_size=batch_size)
 
 
 class TestTraceAnalysis:

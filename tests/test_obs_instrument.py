@@ -26,6 +26,7 @@ from repro.llm.reliability import (
 )
 from repro.llm.simulated import SimulatedLLM
 from repro.obs import Instrumentation, instrument_stack, validate_trace_lines
+from repro.obs.insight import RunBundle
 from repro.obs.summary import outcome_breakdown, render_trace_summary
 
 NUM_QUERIES = 12
@@ -150,7 +151,7 @@ class TestSummary:
                 raise RuntimeError("llm gave up; node deferred")
         with instr.span("query", node=1, round_index=1) as span:
             span.set(outcome="ok", prompt_tokens=10, completion_tokens=2)
-        tiers = outcome_breakdown(instr.trace_lines())
+        tiers = outcome_breakdown(RunBundle.from_lines(instr.trace_lines()))
         assert tiers == [("ok", 1, 10, 2, None)]
 
 

@@ -13,6 +13,7 @@ import copy
 import pytest
 
 from repro.llm.reliability import SimulatedClock
+from repro.obs.insight import RunBundle
 from repro.obs.schema import (
     SUPPORTED_FORMAT_VERSIONS,
     TraceSchemaError,
@@ -70,20 +71,20 @@ class TestSummaryEdges:
     def test_empty_trace_renders(self):
         text = render_trace_summary(empty_trace())
         assert "no query spans in trace" in text
-        assert outcome_breakdown(empty_trace()) == []
-        assert round_breakdown(empty_trace()) == []
-        assert cache_efficiency(empty_trace()) is None
+        assert outcome_breakdown(RunBundle.from_lines(empty_trace())) == []
+        assert round_breakdown(RunBundle.from_lines(empty_trace())) == []
+        assert cache_efficiency(RunBundle.from_lines(empty_trace())) is None
 
     def test_single_wave_run_has_no_round_table(self):
         lines = single_wave_trace()
         text = render_trace_summary(lines)
         assert "Boosting rounds" not in text
         assert "3 queries" in text
-        assert round_breakdown(lines) == []
+        assert round_breakdown(RunBundle.from_lines(lines)) == []
 
     def test_zero_llm_call_run_summarizes_degradations(self):
         lines = degraded_only_trace()
-        rows = {outcome: n for outcome, n, _, _, _ in outcome_breakdown(lines)}
+        rows = {outcome: n for outcome, n, _, _, _ in outcome_breakdown(RunBundle.from_lines(lines))}
         assert rows == {"degraded_surrogate": 2, "abstained": 2}
         text = render_trace_summary(lines)
         assert "0 paid tokens" in text
