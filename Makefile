@@ -42,11 +42,13 @@ test-equivalence:
 		tests/test_serve_equivalence.py tests/test_serve_properties.py
 
 # The wave-vs-DAG differential oracle matrix: every scenario through both
-# dispatch plans in both modes, the readiness-DAG property suite, chaos
-# against the DAG scheduler, and the trace-format compatibility checks.
+# dispatch plans in both modes, the readiness-DAG property suite, the
+# planner's eager-selection memo against uncached selection, chaos against
+# the DAG scheduler, and the trace-format compatibility checks.
 test-differential:
 	pytest tests/test_differential_oracle.py tests/test_readiness_properties.py \
-		tests/test_chaos_dag.py tests/test_trace_schema_compat.py
+		tests/test_eager_selection_memo.py tests/test_chaos_dag.py \
+		tests/test_trace_schema_compat.py
 
 # The MQO tier (docs/mqo.md): prefix-sharing/compression property laws,
 # cache-pricing and ledger-credit unit suite, the classical prefix-sharing

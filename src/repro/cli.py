@@ -699,6 +699,18 @@ def _load_bundle(path: str):
         return None
 
 
+def _starts_with_run_header(path: str) -> bool:
+    """Whether the file's first line is a trace's ``run`` header."""
+    import json as _json
+
+    try:
+        with open(path) as handle:
+            first = _json.loads(handle.readline())
+    except (ValueError, OSError):
+        return False
+    return isinstance(first, dict) and first.get("kind") == "run"
+
+
 def _emit(title: str, section_list, payload: dict, fmt: str) -> None:
     from repro.obs.insight import render_json, render_sections
 
@@ -715,12 +727,15 @@ def _cmd_analyze_critical_path(args: argparse.Namespace) -> int:
     from repro.obs.insight import analyze_bench, analyze_trace
     from repro.obs.insight import critical_path as cp
 
-    # A BENCH_scheduler.json artifact is a single JSON object with a
-    # "waves" key; anything else is treated as a JSONL trace.
-    try:
-        payload = _json.loads(Path(args.path).read_text())
-    except (ValueError, OSError):
-        payload = None
+    # A trace's first line is its run header, and only a trace is read
+    # past that line here.  Anything else may be a BENCH_scheduler.json
+    # artifact: a single JSON object with a "waves" key.
+    payload = None
+    if not _starts_with_run_header(args.path):
+        try:
+            payload = _json.loads(Path(args.path).read_text())
+        except (ValueError, OSError):
+            pass
     extra_sections = []
     dependency = None
     if isinstance(payload, dict) and "waves" in payload:
@@ -1385,7 +1400,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("path", help="JSONL trace written by classify/serve --trace")
     sub.add_argument(
-        "--top", type=int, default=10, help="node spenders to list (default: 10)"
+        "--top", type=_positive_int, default=10,
+        help="node spenders to list (default: 10)",
     )
     _add_format(sub)
     sub.set_defaults(func=_cmd_analyze_costs)
@@ -1399,7 +1415,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file of objectives (default: built-in serve SLOs)",
     )
     sub.add_argument(
-        "--windows", type=int, default=6,
+        "--windows", type=_positive_int, default=6,
         help="equal time slices for burn rates (default: 6)",
     )
     sub.add_argument(

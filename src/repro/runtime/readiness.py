@@ -34,7 +34,9 @@ Two consumers live here:
     queries overlap the current round's stragglers, so peak in-flight
     calls can exceed ``max_concurrency`` — the bench gate asserts exactly
     that — while records, ledgers and checkpoints stay bit-identical to
-    the serial run.
+    the serial run.  The planner keeps each waiting node's eager selection
+    (:class:`EagerSelections`) under its labeled support, so a settle
+    re-runs the selector only for nodes whose support gained a label.
 
 Why eager dispatch is sound (the argument the oracle suite re-verifies
 empirically): suppose query ``q`` is not a member of the running round
@@ -65,6 +67,8 @@ from repro.runtime.results import QueryRecord
 from repro.runtime.scheduler import WaveStats, _chunks, merge_item
 
 if TYPE_CHECKING:
+    from collections.abc import Container, Mapping
+
     from repro.core.boosting import QueryBoostingStrategy
     from repro.runtime.engine import MultiQueryEngine
     from repro.selection.base import SelectedNeighbor
@@ -230,6 +234,60 @@ class ReadinessDAG:
 # --------------------------------------------------- pipelined boosting run
 
 
+class EagerSelections:
+    """A pipelined run's eager selections, kept under their labeled support.
+
+    A node's selection under a label view depends only on the labels of its
+    selector support (the engine's own selection memo rests on the same
+    rule), so it stays valid while the ``(member, label)`` pairs of the
+    support that the view labels are unchanged.  The view of one planner
+    walk is the engine's labels overlaid with ``overlay`` (see
+    :meth:`begin`); the merged map is built only when the walk misses.
+    """
+
+    def __init__(self, engine: "MultiQueryEngine"):
+        self.engine = engine
+        self._entries: dict[int, tuple[tuple, list[SelectedNeighbor]]] = {}
+        self._overlay: Mapping[int, int] = {}
+        self._view: dict[int, int] | None = None
+
+    def begin(self, overlay: Mapping[int, int]) -> None:
+        """Open a walk under the engine's labels plus ``overlay``; neither
+        may change until the next ``begin``."""
+        self._overlay = overlay
+        self._view = None
+
+    def select(
+        self, node: int, support: frozenset[int], unsettled: Container[int]
+    ) -> list[SelectedNeighbor] | None:
+        """``node``'s selection under the walk's view, or ``None`` while a
+        support member is in ``unsettled`` (its label may still arrive)."""
+        labels, overlay = self.engine.label_map, self._overlay
+        key = []
+        for member in support:
+            if member in unsettled:
+                return None
+            label = overlay.get(member)
+            if label is None:
+                label = labels.get(member)
+            if label is not None:
+                key.append((member, label))
+        key = tuple(key)
+        entry = self._entries.get(node)
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        if self._view is None:
+            self._view = dict(labels)
+            self._view.update(overlay)
+        selected = self.engine._select_under(node, self._view)
+        self._entries[node] = (key, selected)
+        return selected
+
+    def discard(self, node: int) -> None:
+        """Forget ``node``: it was dispatched or joined a round."""
+        self._entries.pop(node, None)
+
+
 @dataclass
 class _PlannedQuery:
     """Planner-side state of one round member (or eagerly dispatched query)."""
@@ -304,6 +362,7 @@ class _PipelinedBoostRun:
         self.overlay: dict[int, int] = {}  # current round's settled publishable labels
         self.overlay_next: dict[int, int] = {}  # eagerly dispatched (next round) settles
         self.settled_nodes: set[int] = set()
+        self.selections = EagerSelections(engine)
         self._dispatch_counts: dict[int, int] = {}  # wave index -> items dispatched
 
     # ------------------------------------------------------------- utilities
@@ -424,6 +483,7 @@ class _PipelinedBoostRun:
 
         members: list[_PlannedQuery] = []
         for node, _count in candidates:
+            self.selections.discard(node)
             item = eager.pop(node, None)
             if item is not None:
                 if item.can_defer != stepper.can_defer(node):
@@ -476,31 +536,32 @@ class _PipelinedBoostRun:
                 self._record_dispatch_event(item, wave_index)
 
     def _try_eager(self) -> None:
-        """Dispatch next-round queries whose read labels have all settled."""
+        """Dispatch next-round queries whose read labels have all settled.
+
+        Walks every waiting node on each settle, but re-runs a node's
+        selector only when a label in its support arrived since the last
+        walk (:class:`EagerSelections`); whether it qualifies is judged
+        afresh each walk, since γ1/γ2 may have relaxed in between.
+        """
         current = self.current
         if current is None:
             return
         strategy, stepper, engine = self.strategy, self.stepper, self.engine
-        merged: dict[int, int] | None = None
+        selections = self.selections
+        selections.begin(self.overlay)
+        unsettled = {m.node for m in current.members if not m.label_known}
         for node in stepper.unexecuted:
             if node in current.by_node or node in self.eager:
                 continue
             support = engine.label_support(node)
             if support is None:
                 continue  # unknown read set: wait for the barrier
-            blockers = [
-                p
-                for p in support
-                if p in current.by_node and not current.by_node[p].label_known
-            ]
-            if blockers:
-                continue
-            if merged is None:
-                merged = dict(engine.label_map)
-                merged.update(self.overlay)
-            selected = engine._select_under(node, merged)
+            selected = selections.select(node, support, unsettled)
+            if selected is None:
+                continue  # a running member's label may still change it
             if strategy._qualifying_count(selected, stepper.gamma1, stepper.gamma2) is None:
                 continue
+            selections.discard(node)
             item = self._make_item(node, selected)
             self.eager[node] = item
             wave_index = current.wave_index + 1

@@ -319,6 +319,35 @@ class TestAnalyzeCommand:
         assert f"argument {flags[0]}: must be >= 1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command",
+        [["slo", "--windows", "0"], ["costs", "--top", "0"], ["costs", "--top", "-2"]],
+    )
+    def test_analyze_rejects_nonpositive_sizes(self, capsys, command):
+        trace = Path(__file__).parent / "data" / "golden_scheduler_trace.jsonl"
+        name, flag, value = command
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", name, str(trace), flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err
+        assert f"argument {flag}: must be >= 1, got {value}" in captured.err
+        assert captured.out == ""
+
+    def test_critical_path_reads_a_trace_once(self, capsys, monkeypatch):
+        trace = Path(__file__).parent / "data" / "golden_scheduler_trace.jsonl"
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            reads.append(Path(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        assert main(["analyze", "critical-path", str(trace)]) == 0
+        assert reads.count(trace) == 1
+        assert "Per-wave makespan decomposition" in capsys.readouterr().out
+
     def test_critical_path_on_trace(self, capsys, traced_run):
         trace_path, _args = traced_run
         capsys.readouterr()
