@@ -4,7 +4,7 @@
 # it `pytest | tee` reports tee's exit status and swallows test failures.
 SHELL := /bin/bash
 
-.PHONY: install test test-parallel test-equivalence test-differential test-mqo coverage bench bench-check bench-tables report examples trace-smoke chaos-smoke analyze-smoke cluster-smoke perfbench-smoke paper-smoke perfbench-ab clean
+.PHONY: install test test-parallel test-equivalence test-differential test-mqo coverage bench bench-check bench-tables report examples trace-smoke chaos-smoke analyze-smoke cluster-smoke perfbench-smoke paper-smoke paper perfbench-ab clean
 
 # Line-coverage floor enforced by `make coverage` (and CI).
 COVERAGE_FLOOR := 80
@@ -43,11 +43,14 @@ test-equivalence:
 
 # The wave-vs-DAG differential oracle matrix: every scenario through both
 # dispatch plans in both modes, the readiness-DAG property suite, the
-# planner's eager-selection memo against uncached selection, chaos against
-# the DAG scheduler, and the trace-format compatibility checks.
+# planner's eager-selection memo against uncached selection, its indexed
+# walk against a walk over every waiting node, its selector-call budget and
+# failure path, chaos against the DAG scheduler, and the trace-format
+# compatibility checks.
 test-differential:
 	pytest tests/test_differential_oracle.py tests/test_readiness_properties.py \
-		tests/test_eager_selection_memo.py tests/test_chaos_dag.py \
+		tests/test_eager_selection_memo.py tests/test_indexed_walk.py \
+		tests/test_pipelined_run.py tests/test_chaos_dag.py \
 		tests/test_trace_schema_compat.py
 
 # The MQO tier (docs/mqo.md): prefix-sharing/compression property laws,
@@ -160,11 +163,25 @@ perfbench-smoke:
 # Paper-claim smoke: two of the paper benchmarks at their own scales, with
 # their own assertions — Fig. 3 (queries with labeled neighbors gain more
 # information than queries without) and Table VI (mean D(t_i) of saturated
-# queries below that of non-saturated ones on all five datasets).  About 10 s and 60 s on a
-# 2-core VM.
+# queries below that of non-saturated ones on all five datasets).  About
+# 1.4 s and 9 s on a 2-core VM.
 paper-smoke:
 	PYTHONPATH=src pytest benchmarks/test_fig3_information_gain.py \
 		benchmarks/test_table6_inadequacy.py --benchmark-only -s
+
+# Every paper claim: the 12 paper benchmarks (13 tests: Tables IV-X,
+# Figs. 3/7/8 and both ablations) at their own scales, with their own
+# assertions.  A superset of paper-smoke; about 2.5 min on a 2-core VM.
+PAPER_BENCHMARKS := \
+	benchmarks/test_table4_token_pruning.py benchmarks/test_table5_token_reduction.py \
+	benchmarks/test_table6_inadequacy.py benchmarks/test_table7_query_boosting.py \
+	benchmarks/test_table8_joint.py benchmarks/test_table9_instruction_tuned.py \
+	benchmarks/test_table10_link_prediction.py benchmarks/test_fig3_information_gain.py \
+	benchmarks/test_fig7_budget_sweep.py benchmarks/test_fig8_scheduling.py \
+	benchmarks/test_ablation_boosting.py benchmarks/test_ablation_inadequacy_channels.py
+
+paper:
+	PYTHONPATH=src pytest $(PAPER_BENCHMARKS) --benchmark-only -s --durations=0
 
 # Alternating parent/change pairs of perfbench workloads, e.g.
 #   make perfbench-ab PARENT=main WORKLOAD=joint-cora PAIRS=10

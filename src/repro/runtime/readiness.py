@@ -34,9 +34,13 @@ Two consumers live here:
     queries overlap the current round's stragglers, so peak in-flight
     calls can exceed ``max_concurrency`` — the bench gate asserts exactly
     that — while records, ledgers and checkpoints stay bit-identical to
-    the serial run.  The planner keeps each waiting node's eager selection
-    (:class:`EagerSelections`) under its labeled support, so a settle
-    re-runs the selector only for nodes whose support gained a label.
+    the serial run.  The planner blocks on one completion queue that every
+    worker future feeds.  After a settle it walks only the waiting nodes
+    indexed under a member that just settled, and it keeps each node's
+    eager selection (:class:`EagerSelections`) under its labeled support,
+    so the selector re-runs only for nodes whose support gained a label;
+    while the round's view is the engine's own label map, that selection
+    is the engine's memoised one.
 
 Why eager dispatch is sound (the argument the oracle suite re-verifies
 empirically): suppose query ``q`` is not a member of the running round
@@ -54,8 +58,9 @@ eligibility depends on global state, not a label subset).
 
 from __future__ import annotations
 
+import queue
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -242,7 +247,11 @@ class EagerSelections:
     rule), so it stays valid while the ``(member, label)`` pairs of the
     support that the view labels are unchanged.  The view of one planner
     walk is the engine's labels overlaid with ``overlay`` (see
-    :meth:`begin`); the merged map is built only when the walk misses.
+    :meth:`begin`).  While the overlay is empty that view *is* the engine's
+    label map, so a miss asks :meth:`~repro.runtime.engine.MultiQueryEngine.
+    select_neighbors`, whose memo the round's candidate selection has just
+    filled; under a non-empty overlay a miss runs the selector uncached over
+    the merged map, built on the walk's first such miss.
     """
 
     def __init__(self, engine: "MultiQueryEngine"):
@@ -250,6 +259,8 @@ class EagerSelections:
         self._entries: dict[int, tuple[tuple, list[SelectedNeighbor]]] = {}
         self._overlay: Mapping[int, int] = {}
         self._view: dict[int, int] | None = None
+        #: The unsettled support member that blocked the last ``None`` lookup.
+        self.blocker: int | None = None
 
     def begin(self, overlay: Mapping[int, int]) -> None:
         """Open a walk under the engine's labels plus ``overlay``; neither
@@ -261,11 +272,13 @@ class EagerSelections:
         self, node: int, support: frozenset[int], unsettled: Container[int]
     ) -> list[SelectedNeighbor] | None:
         """``node``'s selection under the walk's view, or ``None`` while a
-        support member is in ``unsettled`` (its label may still arrive)."""
+        support member is in ``unsettled`` (its label may still arrive); that
+        member is left in :attr:`blocker`."""
         labels, overlay = self.engine.label_map, self._overlay
         key = []
         for member in support:
             if member in unsettled:
+                self.blocker = member
                 return None
             label = overlay.get(member)
             if label is None:
@@ -276,10 +289,13 @@ class EagerSelections:
         entry = self._entries.get(node)
         if entry is not None and entry[0] == key:
             return entry[1]
-        if self._view is None:
-            self._view = dict(labels)
-            self._view.update(overlay)
-        selected = self.engine._select_under(node, self._view)
+        if not overlay:
+            selected = self.engine.select_neighbors(node)
+        else:
+            if self._view is None:
+                self._view = dict(labels)
+                self._view.update(overlay)
+            selected = self.engine._select_under(node, self._view)
         self._entries[node] = (key, selected)
         return selected
 
@@ -358,11 +374,15 @@ class _PipelinedBoostRun:
         self.eager: dict[int, _PlannedQuery] = {}
         self.next_pool: ThreadPoolExecutor | None = None
         self._pools: list[ThreadPoolExecutor] = []
-        self._by_future: dict[Future, _PlannedQuery] = {}
+        self._by_future: dict[Future, _PlannedQuery] = {}  # the outstanding futures
+        self._completed: queue.SimpleQueue[Future] = queue.SimpleQueue()
         self.overlay: dict[int, int] = {}  # current round's settled publishable labels
         self.overlay_next: dict[int, int] = {}  # eagerly dispatched (next round) settles
         self.settled_nodes: set[int] = set()
         self.selections = EagerSelections(engine)
+        self._blocked: dict[int, list[int]] = {}  # unsettled member -> waiting nodes it blocks
+        self._woken: list[int] = []  # the nodes the next walk visits
+        self._position: dict[int, int] = {}  # node -> its index in the round's unexecuted
         self._dispatch_counts: dict[int, int] = {}  # wave index -> items dispatched
 
     # ------------------------------------------------------------- utilities
@@ -377,6 +397,7 @@ class _PipelinedBoostRun:
     def _note_label(self, item: _PlannedQuery) -> None:
         """A member's planner label state is now known: unblock dependents."""
         self.settled_nodes.add(item.node)
+        self._woken.extend(self._blocked.pop(item.node, ()))
         if self.dag is not None:
             self.dag.record_settle(item.node, item.settled_at)
         if item.label is None:
@@ -400,6 +421,7 @@ class _PipelinedBoostRun:
             self.scheduler._phase1, engine, item.node, lambda: prepared, wave_index, index
         )
         self._by_future[item.future] = item
+        item.future.add_done_callback(self._completed.put)
 
     def _record_dispatch_event(self, item: _PlannedQuery, wave_index: int) -> None:
         if self.dag is None:
@@ -480,6 +502,11 @@ class _PipelinedBoostRun:
         self.overlay_next = {}
         eager, self.eager = self.eager, {}
         pool, self.next_pool = self.next_pool, None
+        # γ1/γ2 and the engine's labels may have changed: the round's first
+        # walk visits every waiting node.
+        self._blocked = {}
+        self._woken = list(stepper.unexecuted)
+        self._position = {node: i for i, node in enumerate(stepper.unexecuted)}
 
         members: list[_PlannedQuery] = []
         for node, _count in candidates:
@@ -538,19 +565,27 @@ class _PipelinedBoostRun:
     def _try_eager(self) -> None:
         """Dispatch next-round queries whose read labels have all settled.
 
-        Walks every waiting node on each settle, but re-runs a node's
-        selector only when a label in its support arrived since the last
-        walk (:class:`EagerSelections`); whether it qualifies is judged
-        afresh each walk, since γ1/γ2 may have relaxed in between.
+        The round's first walk visits every waiting node; a node a running
+        member blocks is indexed under that member, and each later walk
+        visits only the nodes whose blocker settled since the last one, in
+        ``stepper.unexecuted`` order, so it dispatches what a walk over
+        every node would.  Within a round a node's view changes only when a
+        running member of its support settles (engine labels change only at
+        publication), so a node no member blocks keeps its selection — and
+        its failure to qualify — until the next determination.  A visited
+        node re-runs its selector only when a label in its support arrived
+        (:class:`EagerSelections`).
         """
         current = self.current
-        if current is None:
+        if current is None or not self._woken:
             return
         strategy, stepper, engine = self.strategy, self.stepper, self.engine
         selections = self.selections
+        nodes, self._woken = self._woken, []
+        nodes.sort(key=self._position.__getitem__)
         selections.begin(self.overlay)
         unsettled = {m.node for m in current.members if not m.label_known}
-        for node in stepper.unexecuted:
+        for node in nodes:
             if node in current.by_node or node in self.eager:
                 continue
             support = engine.label_support(node)
@@ -558,7 +593,9 @@ class _PipelinedBoostRun:
                 continue  # unknown read set: wait for the barrier
             selected = selections.select(node, support, unsettled)
             if selected is None:
-                continue  # a running member's label may still change it
+                # A running member's label may still change it.
+                self._blocked.setdefault(selections.blocker, []).append(node)
+                continue
             if strategy._qualifying_count(selected, stepper.gamma1, stepper.gamma2) is None:
                 continue
             selections.discard(node)
@@ -693,30 +730,17 @@ class _PipelinedBoostRun:
 
     # -------------------------------------------------------------- main loop
 
-    def _inflight(self) -> list[Future]:
-        pending = []
-        if self.current is not None:
-            pending.extend(
-                item.future
-                for item in self.current.members
-                if item.future is not None and not item.arrived
-            )
-        pending.extend(
-            item.future
-            for item in self.eager.values()
-            if item.future is not None and not item.arrived
-        )
-        return pending
-
     def run(self) -> BoostingResult:
+        completed = self._completed
         try:
             while self.stepper.unexecuted or self.current is not None:
                 if self.current is None:
                     self._determine_round()
                     self._try_eager()
-                pending = self._inflight()
-                if pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                if self._by_future:
+                    done = [completed.get()]
+                    while not completed.empty():
+                        done.append(completed.get_nowait())
                     for future in done:
                         self._settle(self._by_future.pop(future))
                     self._try_eager()
