@@ -145,12 +145,12 @@ def test_a_worker_error_propagates_and_stops_every_thread(
         tiny_tag, tiny_split, tiny_builder, llm, KHopRandomSelector(1), scheduler
     )
     threads_before = threading.active_count()
-    raised: list[BaseException] = []
+    raised: list[Exception] = []
 
     def execute():
         try:
             QueryBoostingStrategy(gamma1=1).execute(engine, np.asarray(tiny_split.queries))
-        except BaseException as error:  # noqa: BLE001 - handed to the test thread
+        except Exception as error:  # handed to the test thread
             raised.append(error)
 
     runner = threading.Thread(target=execute, daemon=True)
