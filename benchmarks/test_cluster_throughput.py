@@ -3,10 +3,10 @@
 Acceptance shape (ISSUE 10): on cora the sharded cluster must deliver a
 modeled throughput gain **above 1.5x at 4 workers** while issuing **zero
 duplicate LLM calls** through the shared cache's cross-worker single-flight,
-and a one-shard cluster run must produce records **bit-identical** to the
-unsharded engine.  A second cluster over the warm shared store must re-issue
-zero inner calls — the cache actually persists results across runs, it does
-not merely deduplicate within one.
+and a one-shard cluster run must produce records, rounds and ledger spend
+**bit-identical** to the unsharded engine.  A second cluster over the warm
+shared store must re-issue zero inner calls — the cache actually persists
+results across runs, it does not merely deduplicate within one.
 
 The measured numbers land in ``BENCH_cluster.json`` next to the repo's
 other benchmark artifacts; ``benchmarks/check_regression.py --suite
@@ -20,12 +20,15 @@ import json
 from pathlib import Path
 
 from repro.core.boosting import QueryBoostingStrategy
-from repro.core.budget import BudgetLedger
 from repro.experiments.common import load_setup
-from repro.experiments.sharding import build_cluster, cluster_cache_stats
-from repro.llm.caching import CachingLLM, MemoryCacheStore, SharedFlight
-from repro.llm.reliability import LatencyLLM, SimulatedClock
-from repro.runtime.scheduler import QueryScheduler
+from repro.experiments.sharding import (
+    build_cluster,
+    cluster_cache_stats,
+    one_shard_mismatches,
+    rerun_warm,
+    run_unsharded,
+)
+from repro.llm.caching import MemoryCacheStore, SharedFlight
 
 DATASET = "cora"
 NUM_QUERIES = 60
@@ -48,21 +51,7 @@ def measure_cluster() -> dict:
     """
     # Unsharded reference: the same engine stack a one-shard worker gets,
     # driven by the plain (non-cluster) strategy path.
-    setup = _fresh_setup()
-    clock = SimulatedClock()
-    llm = CachingLLM(
-        LatencyLLM(setup.make_llm(), clock, seconds_per_call=1.0),
-        store=MemoryCacheStore(max_entries=None),
-        flight=SharedFlight(),
-    )
-    engine = setup.make_engine(
-        "sns",
-        llm=llm,
-        clock=clock,
-        scheduler=QueryScheduler(max_batch_size=8, max_concurrency=4, mode="simulated"),
-        ledger=BudgetLedger(),
-    )
-    serial = QueryBoostingStrategy().execute(engine, setup.queries)
+    reference = run_unsharded(_fresh_setup())
 
     measured: dict = {
         "dataset": DATASET,
@@ -89,16 +78,16 @@ def measure_cluster() -> dict:
             stats["inner_llm_calls"] - stats["distinct_prompts"]
         )
         if shards == 1:
-            measured["records_equal"] = result.combined.records == serial.run.records
+            # Records, rounds and ledger: the whole shards=1 contract.
+            measured["records_equal"] = not one_shard_mismatches(
+                reference, cluster, result
+            )
 
     # Warm re-run over the largest run's store: every prompt must hit.
     warm_shards = SHARD_COUNTS[-1]
-    setup_w = _fresh_setup()
-    warm_cluster = build_cluster(
-        setup_w, warm_shards, store=stores[warm_shards], flight=flights[warm_shards]
+    warm = rerun_warm(
+        _fresh_setup(), warm_shards, stores[warm_shards], flights[warm_shards]
     )
-    warm_cluster.run_boosting(QueryBoostingStrategy())
-    warm = cluster_cache_stats(warm_cluster)
     measured["warm_inner_llm_calls"] = warm["inner_llm_calls"]
     measured["warm_hit_rate"] = (
         warm["hits"] / (warm["hits"] + warm["misses"])

@@ -1,16 +1,12 @@
 """Per-group breakdowns of a run's records.
 
 These slice a :class:`~repro.runtime.results.RunResult` the way the paper's
-analysis sections do: by true class (which classes does the model/bias
-struggle with), by neighbor-label availability (the Fig. 3 grouping), and
-by boosting round (does accuracy hold up in late, relaxed rounds).
+analysis sections do: by neighbor-label availability (the Fig. 3 grouping).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-
-import numpy as np
 
 from repro.runtime.results import QueryRecord, RunResult
 
@@ -26,17 +22,6 @@ def _accuracy(records: list[QueryRecord]) -> float:
     return sum(r.correct for r in records) / len(records)
 
 
-def accuracy_by_class(result: RunResult, class_names: list[str]) -> dict[str, tuple[float, int]]:
-    """Per-true-class ``(accuracy, count)``; classes absent from the run are
-    omitted."""
-    if not result.records:
-        raise ValueError("empty run")
-    out: dict[str, tuple[float, int]] = {}
-    for label, records in sorted(_grouped(result.records, lambda r: r.true_label).items()):
-        out[class_names[label]] = (_accuracy(records), len(records))
-    return out
-
-
 def accuracy_by_neighbor_count(result: RunResult) -> dict[int, tuple[float, int]]:
     """Accuracy grouped by how many neighbor labels the prompt carried."""
     if not result.records:
@@ -45,25 +30,3 @@ def accuracy_by_neighbor_count(result: RunResult) -> dict[int, tuple[float, int]
         count: (_accuracy(records), len(records))
         for count, records in sorted(_grouped(result.records, lambda r: r.num_neighbor_labels).items())
     }
-
-
-def accuracy_by_round(result: RunResult) -> dict[int, tuple[float, int]]:
-    """Accuracy per boosting round (records without a round are skipped)."""
-    records = [r for r in result.records if r.round_index is not None]
-    if not records:
-        raise ValueError("run has no round annotations")
-    return {
-        round_index: (_accuracy(group), len(group))
-        for round_index, group in sorted(_grouped(records, lambda r: r.round_index).items())
-    }
-
-
-def token_histogram(result: RunResult, num_bins: int = 10) -> list[tuple[float, float, int]]:
-    """Histogram of per-query prompt tokens as ``(low, high, count)`` bins."""
-    if not result.records:
-        raise ValueError("empty run")
-    if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
-    tokens = np.array([r.prompt_tokens for r in result.records], dtype=float)
-    counts, edges = np.histogram(tokens, bins=num_bins)
-    return [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(num_bins)]

@@ -863,8 +863,9 @@ def _verify_cluster(args: argparse.Namespace) -> list[str]:
 
     Four checks, each on a freshly built stack:
 
-    1. a one-shard cluster's combined records are bit-identical to the
-       unsharded strategy's (same engine stack, same seeds);
+    1. a one-shard cluster's combined records, rounds and ledger are
+       bit-identical to the unsharded strategy's (same engine stack, same
+       seeds; :func:`repro.experiments.sharding.one_shard_mismatches`);
     2. per-worker ledgers reconcile token-for-token against the combined
        records;
     3. a second cluster over the warm shared store re-issues **zero** inner
@@ -873,45 +874,30 @@ def _verify_cluster(args: argparse.Namespace) -> list[str]:
        reconciled for tenants spanning shards.
     """
     from repro.core.boosting import QueryBoostingStrategy
-    from repro.core.budget import BudgetLedger
     from repro.experiments.common import load_setup
-    from repro.experiments.sharding import build_cluster, cluster_cache_stats
-    from repro.llm.caching import CachingLLM, MemoryCacheStore, SharedFlight
-    from repro.llm.reliability import LatencyLLM, SimulatedClock
-    from repro.runtime.scheduler import QueryScheduler
+    from repro.experiments.sharding import (
+        build_cluster,
+        one_shard_mismatches,
+        rerun_warm,
+        run_unsharded,
+    )
+    from repro.llm.caching import MemoryCacheStore, SharedFlight
     from repro.runtime.serve import ServeRequest, ServingLayer, TenantSpec
 
     failures: list[str] = []
     shards = max(args.shards)
 
     # 1. shards=1 bit-equality against the unsharded engine path.
-    setup = load_setup(args.dataset, num_queries=args.queries, scale=args.scale)
-    clock = SimulatedClock()
-    llm = CachingLLM(
-        LatencyLLM(setup.make_llm(), clock, seconds_per_call=1.0),
-        store=MemoryCacheStore(max_entries=None),
-        flight=SharedFlight(),
+    reference = run_unsharded(
+        load_setup(args.dataset, num_queries=args.queries, scale=args.scale)
     )
-    engine = setup.make_engine(
-        "sns",
-        llm=llm,
-        clock=clock,
-        scheduler=QueryScheduler(max_batch_size=8, max_concurrency=4, mode="simulated"),
-        ledger=BudgetLedger(),
-    )
-    serial = QueryBoostingStrategy().execute(engine, setup.queries)
-
     setup1 = load_setup(args.dataset, num_queries=args.queries, scale=args.scale)
     cluster1 = build_cluster(setup1, 1, store=MemoryCacheStore(max_entries=None))
-    result1 = cluster1.run_boosting(QueryBoostingStrategy())
-    if result1.combined.records != serial.run.records:
-        failures.append("shards=1 combined records differ from the unsharded run")
-    if [list(r) for r in result1.worker_results[0].rounds] != [
-        list(r) for r in serial.rounds
-    ]:
-        failures.append("shards=1 round structure differs from the unsharded run")
-    if cluster1.engines[0].ledger.spent != engine.ledger.spent:
-        failures.append("shards=1 ledger spend differs from the unsharded run")
+    failures.extend(
+        one_shard_mismatches(
+            reference, cluster1, cluster1.run_boosting(QueryBoostingStrategy())
+        )
+    )
 
     # 2+3. multi-shard run: ledger reconciliation, then warm-store re-run.
     setup_n = load_setup(args.dataset, num_queries=args.queries, scale=args.scale)
@@ -929,9 +915,7 @@ def _verify_cluster(args: argparse.Namespace) -> list[str]:
             f"records carry {record_tokens}"
         )
     setup_warm = load_setup(args.dataset, num_queries=args.queries, scale=args.scale)
-    cluster_warm = build_cluster(setup_warm, shards, store=store, flight=flight)
-    cluster_warm.run_boosting(QueryBoostingStrategy())
-    warm = cluster_cache_stats(cluster_warm)
+    warm = rerun_warm(setup_warm, shards, store, flight)
     if warm["inner_llm_calls"] != 0:
         failures.append(
             f"warm shared store still paid {warm['inner_llm_calls']} inner "

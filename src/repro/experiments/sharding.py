@@ -17,14 +17,19 @@ quantifies both sides of that trade on one dataset:
 :func:`build_cluster` is the one place the full worker stack is assembled
 (partition → per-shard engine with its own scheduler/ledger over a shared
 clock and shared single-flight cache); the CLI (``repro cluster``), the
-throughput benchmark and the smoke tests all reuse it.
+throughput benchmark and the smoke tests all reuse it.  The shards=1
+contract lives here too, for ``repro cluster --verify`` and the throughput
+benchmark alike: :func:`run_unsharded` boosts on the engine stack a worker
+gets, outside any cluster, :func:`one_shard_mismatches` compares a one-shard
+cluster run with it, and :func:`rerun_warm` re-runs a cluster over a warm
+shared store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.boosting import QueryBoostingStrategy
+from repro.core.boosting import BoostingResult, QueryBoostingStrategy
 from repro.core.budget import BudgetLedger
 from repro.experiments.common import ExperimentSetup, load_setup
 from repro.experiments.report import render_table
@@ -35,6 +40,40 @@ from repro.runtime.cluster import ClusterResult, ClusterWorker, ShardedCluster, 
 from repro.runtime.scheduler import QueryScheduler
 
 DEFAULT_SHARD_COUNTS = (1, 2, 4)
+
+
+def _worker_engine(
+    setup: ExperimentSetup,
+    clock: SimulatedClock,
+    store,
+    flight: SharedFlight | None,
+    method: str = "sns",
+    model: str = "gpt-3.5",
+    seconds_per_call: float = 1.0,
+    max_batch_size: int = 8,
+    max_concurrency: int = 4,
+    ledger: bool = True,
+    observer=None,
+):
+    """One worker's engine: cached simulated LLM, batched simulated scheduler."""
+    llm = CachingLLM(
+        LatencyLLM(setup.make_llm(model), clock, seconds_per_call=seconds_per_call),
+        observer=observer,
+        store=store,
+        flight=flight,
+    )
+    return setup.make_engine(
+        method,
+        llm=llm,
+        clock=clock,
+        scheduler=QueryScheduler(
+            max_batch_size=max_batch_size,
+            max_concurrency=max_concurrency,
+            mode="simulated",
+        ),
+        ledger=BudgetLedger() if ledger else None,
+        observer=observer,
+    )
 
 
 def build_cluster(
@@ -81,22 +120,17 @@ def build_cluster(
         observers = [None] * num_shards
     workers = []
     for index in range(num_shards):
-        llm = CachingLLM(
-            LatencyLLM(setup.make_llm(model), clock, seconds_per_call=seconds_per_call),
-            observer=observers[index],
-            store=store,
-            flight=flight,
-        )
-        engine = setup.make_engine(
-            method,
-            llm=llm,
-            clock=clock,
-            scheduler=QueryScheduler(
-                max_batch_size=max_batch_size,
-                max_concurrency=max_concurrency,
-                mode="simulated",
-            ),
-            ledger=BudgetLedger() if ledgers else None,
+        engine = _worker_engine(
+            setup,
+            clock,
+            store,
+            flight,
+            method=method,
+            model=model,
+            seconds_per_call=seconds_per_call,
+            max_batch_size=max_batch_size,
+            max_concurrency=max_concurrency,
+            ledger=ledgers,
             observer=observers[index],
         )
         workers.append(ClusterWorker(index=index, engine=engine, queries=shard_queries[index]))
@@ -155,6 +189,61 @@ def cluster_cache_stats(cluster: ShardedCluster) -> dict[str, int]:
         totals["inner_llm_calls"] += llm.inner.usage.num_queries
     totals["distinct_prompts"] = len(cluster.engines[0].llm.store)
     return totals
+
+
+def unsharded_engine(setup: ExperimentSetup):
+    """The engine a one-shard ``build_cluster(setup, 1, store=...)`` worker
+    gets with default settings, outside any cluster: its own clock, ledger,
+    unbounded cache store and single-flight."""
+    return _worker_engine(
+        setup, SimulatedClock(), MemoryCacheStore(max_entries=None), SharedFlight()
+    )
+
+
+def run_unsharded(setup: ExperimentSetup) -> tuple[BoostingResult, BudgetLedger]:
+    """Boost ``setup``'s queries on :func:`unsharded_engine` through the
+    plain strategy path: the reference a one-shard cluster run must equal."""
+    engine = unsharded_engine(setup)
+    return QueryBoostingStrategy().execute(engine, setup.queries), engine.ledger
+
+
+def one_shard_mismatches(
+    reference: tuple[BoostingResult, BudgetLedger],
+    cluster: ShardedCluster,
+    result: ClusterResult,
+) -> list[str]:
+    """How a one-shard cluster run differs from :func:`run_unsharded`'s.
+
+    The shards=1 contract: combined records, round structure and the
+    worker ledger's spend and charges all equal the unsharded run's.  An
+    empty list means the contract holds.
+    """
+    serial, ledger = reference
+    mismatches = []
+    if result.combined.records != serial.run.records:
+        mismatches.append("shards=1 combined records differ from the unsharded run")
+    if [list(r) for r in result.worker_results[0].rounds] != [list(r) for r in serial.rounds]:
+        mismatches.append("shards=1 round structure differs from the unsharded run")
+    worker_ledger = cluster.engines[0].ledger
+    if worker_ledger.spent != ledger.spent or worker_ledger.charges != ledger.charges:
+        mismatches.append(
+            "shards=1 ledger spend or charge count differs from the unsharded run"
+        )
+    return mismatches
+
+
+def rerun_warm(
+    setup: ExperimentSetup, num_shards: int, store, flight: SharedFlight
+) -> dict[str, int]:
+    """Boost again with a fresh ``num_shards`` cluster over an already-warm
+    shared ``store``; return its :func:`cluster_cache_stats`.
+
+    A store that persists results across runs serves every prompt, so
+    ``inner_llm_calls`` must be zero.
+    """
+    cluster = build_cluster(setup, num_shards, store=store, flight=flight)
+    cluster.run_boosting(QueryBoostingStrategy())
+    return cluster_cache_stats(cluster)
 
 
 def run_sharding(

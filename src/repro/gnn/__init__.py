@@ -8,13 +8,12 @@ paradigm's trade-offs can be exercised in code (see
 ``examples/gnn_vs_llm.py``).
 """
 
-from repro.gnn.propagation import normalized_adjacency, propagate
+from repro.gnn.propagation import normalized_adjacency
 from repro.gnn.gcn import GCNClassifier
 from repro.gnn.sage import GraphSAGEClassifier
 
 __all__ = [
     "normalized_adjacency",
-    "propagate",
     "GCNClassifier",
     "GraphSAGEClassifier",
 ]

@@ -40,13 +40,3 @@ def mean_adjacency(graph: TextAttributedGraph) -> sp.csr_matrix:
     nonzero = degrees > 0
     inv[nonzero] = 1.0 / degrees[nonzero]
     return (sp.diags(inv) @ adj).tocsr()
-
-
-def propagate(adjacency: sp.csr_matrix, features: np.ndarray, hops: int = 1) -> np.ndarray:
-    """Apply ``adjacency`` to ``features`` ``hops`` times."""
-    if hops < 0:
-        raise ValueError(f"hops must be >= 0, got {hops}")
-    out = np.asarray(features, dtype=np.float64)
-    for _ in range(hops):
-        out = adjacency @ out
-    return out

@@ -2,7 +2,7 @@
 
 from repro.graph.tag import TextAttributedGraph
 from repro.graph.sampling import bfs_hops, k_hop_neighbors
-from repro.graph.homophily import edge_homophily, node_homophily
+from repro.graph.homophily import edge_homophily
 from repro.graph.generators import GeneratorConfig, generate_tag
 from repro.graph.datasets import (
     DATASET_SPECS,
@@ -19,7 +19,6 @@ __all__ = [
     "k_hop_neighbors",
     "bfs_hops",
     "edge_homophily",
-    "node_homophily",
     "GeneratorConfig",
     "generate_tag",
     "DatasetSpec",

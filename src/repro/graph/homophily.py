@@ -2,14 +2,12 @@
 
 The query-boosting strategy leans on the homophily principle [McPherson et
 al. 2001]: connected nodes tend to share labels, so a neighbor's (pseudo-)
-label is evidence about the query node's label.  These measures let tests and
-the dataset generators verify that synthetic graphs actually carry the level
-of homophily each replica is configured for.
+label is evidence about the query node's label.  Edge homophily lets tests
+and the dataset generators verify that synthetic graphs actually carry the
+level of homophily each replica is configured for.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.graph.tag import TextAttributedGraph
 
@@ -21,19 +19,3 @@ def edge_homophily(graph: TextAttributedGraph) -> float:
         return 0.0
     same = graph.labels[edges[:, 0]] == graph.labels[edges[:, 1]]
     return float(same.mean())
-
-
-def node_homophily(graph: TextAttributedGraph) -> float:
-    """Mean over nodes of the same-label fraction among their neighbors.
-
-    Isolated nodes are skipped; returns 0 when every node is isolated.
-    """
-    fractions = []
-    for v in range(graph.num_nodes):
-        nbrs = graph.neighbors(v)
-        if nbrs.size == 0:
-            continue
-        fractions.append(float((graph.labels[nbrs] == graph.labels[v]).mean()))
-    if not fractions:
-        return 0.0
-    return float(np.mean(fractions))

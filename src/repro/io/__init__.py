@@ -1,8 +1,7 @@
-"""Persistence: save/load graphs and run results, export reports."""
+"""Persistence: run results and checkpoints, CSV export, the LLM cache store."""
 
 from repro.io.atomic import append_line_durable, atomic_write_text, fsync_dir
 from repro.io.cachedb import CacheCorruptionError, SQLiteCacheStore
-from repro.io.graphs import load_graph, save_graph
 from repro.io.runs import (
     CheckpointCorruptionError,
     CheckpointState,
@@ -17,8 +16,6 @@ from repro.io.runs import (
 )
 
 __all__ = [
-    "save_graph",
-    "load_graph",
     "save_run",
     "load_run",
     "run_to_rows",

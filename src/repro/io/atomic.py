@@ -14,7 +14,7 @@ visible.  The fix is the classic three-step dance:
 
 :func:`atomic_write_text` packages that dance for the files a run resumes
 from: checkpoint compactions, the LLM cache, request streams, journal
-truncations.  Traces, CSV exports, saved graphs and reports use plain
+truncations.  Traces, CSV exports and reports use plain
 writes.  The ``before_replace`` hook exists for the chaos-injection
 subsystem (:mod:`repro.runtime.chaos`), which simulates a process dying
 *between* the tmp write and the rename to prove recovery works; production

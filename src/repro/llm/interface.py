@@ -59,12 +59,6 @@ class UsageTracker:
     def total_tokens(self) -> int:
         return self.prompt_tokens + self.completion_tokens
 
-    def reset(self) -> None:
-        with self._lock:
-            self.num_queries = 0
-            self.prompt_tokens = 0
-            self.completion_tokens = 0
-
     def snapshot(self) -> "UsageTracker":
         """Copy of the current counters (for before/after deltas)."""
         return UsageTracker(self.num_queries, self.prompt_tokens, self.completion_tokens)

@@ -84,31 +84,6 @@ def cost_usd(model: str, prompt_tokens: int, completion_tokens: int = 0) -> floa
     return prompt_tokens / 1000.0 * price.input_per_1k + completion_tokens / 1000.0 * price.output_per_1k
 
 
-def cost_usd_with_cache(
-    model: str,
-    prompt_tokens: int,
-    completion_tokens: int = 0,
-    cached_prompt_tokens: int = 0,
-) -> float:
-    """Dollar cost when ``cached_prompt_tokens`` of the prompt hit the cache.
-
-    The cached portion bills at the model's discounted cached-input rate;
-    the remainder at the full input rate.  ``cached_prompt_tokens`` must not
-    exceed ``prompt_tokens`` — a prompt cannot serve more tokens from the
-    cache than it has.
-    """
-    if cached_prompt_tokens < 0:
-        raise ValueError("cached_prompt_tokens must be non-negative")
-    if cached_prompt_tokens > prompt_tokens:
-        raise ValueError(
-            f"cached_prompt_tokens ({cached_prompt_tokens}) exceeds "
-            f"prompt_tokens ({prompt_tokens})"
-        )
-    return cost_usd(model, prompt_tokens, completion_tokens) - cache_discount_usd(
-        model, cached_prompt_tokens
-    )
-
-
 def cache_discount_usd(model: str, cached_prompt_tokens: int) -> float:
     """Dollars saved by serving ``cached_prompt_tokens`` from the cache."""
     if cached_prompt_tokens < 0:

@@ -39,21 +39,6 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float((y_true == y_pred).mean())
 
 
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, num_classes: int) -> np.ndarray:
-    """``(num_classes, num_classes)`` matrix; rows = true, columns = predicted."""
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
-    if y_true.size and (
-        y_true.min() < 0 or y_true.max() >= num_classes or y_pred.min() < 0 or y_pred.max() >= num_classes
-    ):
-        raise ValueError("labels out of range")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (y_true, y_pred), 1)
-    return matrix
-
-
 def misclassification_ratios(
     y_true: np.ndarray, y_pred: np.ndarray, num_classes: int
 ) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.metrics import softmax
-from repro.ml.optim import Adam, SGD
+from repro.ml.optim import Adam
 from repro.ml.preprocessing import one_hot
 from repro.utils.rng import spawn_rng
 
@@ -25,15 +25,12 @@ class MLPClassifier:
     hidden_sizes:
         Hidden layer widths; empty tuple = multinomial logistic regression.
     learning_rate, weight_decay:
-        Optimizer settings (weight decay is decoupled L2 on weights only).
+        Adam settings.  Weight decay is coupled L2 on weights only:
+        ``weight_decay * W`` joins each weight gradient before the Adam step.
     epochs, batch_size:
         Training loop settings; ``batch_size=None`` uses full-batch steps.
-    optimizer:
-        ``"adam"`` (default) or ``"sgd"``.
-    dropout:
-        Dropout probability on hidden activations during training.
     seed:
-        Controls initialization, shuffling and dropout masks.
+        Controls initialization and shuffling.
     """
 
     def __init__(
@@ -43,20 +40,16 @@ class MLPClassifier:
         weight_decay: float = 0.0,
         epochs: int = 200,
         batch_size: int | None = None,
-        optimizer: str = "adam",
-        dropout: float = 0.0,
         seed: int = 0,
     ):
         if any(h < 1 for h in hidden_sizes):
             raise ValueError("hidden sizes must be >= 1")
+        if learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1 or None, got {batch_size}")
-        if not 0.0 <= dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {dropout}")
-        if optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {optimizer!r}")
         if weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
         self.hidden_sizes = tuple(hidden_sizes)
@@ -64,13 +57,10 @@ class MLPClassifier:
         self.weight_decay = weight_decay
         self.epochs = epochs
         self.batch_size = batch_size
-        self.optimizer = optimizer
-        self.dropout = dropout
         self.seed = seed
         self.weights_: list[np.ndarray] | None = None
         self.biases_: list[np.ndarray] | None = None
         self.num_classes_: int | None = None
-        self.loss_history_: list[float] = []
 
     # ------------------------------------------------------------------ fit
 
@@ -83,26 +73,17 @@ class MLPClassifier:
             self.weights_.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
             self.biases_.append(np.zeros(fan_out))
 
-    def _forward(
-        self, x: np.ndarray, rng: np.random.Generator | None = None
-    ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-        """Return (logits, activations per layer input, dropout masks)."""
+    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Return (logits, activations per layer input)."""
         activations = [x]
-        masks: list[np.ndarray] = []
         h = x
         for layer, (w, b) in enumerate(zip(self.weights_, self.biases_)):
             z = h @ w + b
             if layer < len(self.weights_) - 1:
                 h = np.maximum(z, 0.0)
-                if rng is not None and self.dropout > 0.0:
-                    mask = (rng.random(h.shape) >= self.dropout) / (1.0 - self.dropout)
-                    h = h * mask
-                    masks.append(mask)
-                else:
-                    masks.append(np.ones_like(h))
                 activations.append(h)
             else:
-                return z, activations, masks
+                return z, activations
         raise AssertionError("unreachable: network has at least one layer")
 
     def fit(self, x: np.ndarray, y: np.ndarray, num_classes: int | None = None) -> "MLPClassifier":
@@ -126,33 +107,22 @@ class MLPClassifier:
             raise ValueError(f"num_classes={num_classes} < observed classes {observed}")
         self.num_classes_ = num_classes
         rng = spawn_rng(self.seed, "mlp-init")
-        drop_rng = spawn_rng(self.seed, "mlp-dropout")
         shuffle_rng = spawn_rng(self.seed, "mlp-shuffle")
         self._init_params(x.shape[1], num_classes, rng)
-        optimizer = (
-            Adam(self.learning_rate) if self.optimizer == "adam" else SGD(self.learning_rate)
-        )
+        optimizer = Adam(self.learning_rate)
         y_onehot = one_hot(y, num_classes)
         n = x.shape[0]
         batch = n if self.batch_size is None else min(self.batch_size, n)
-        self.loss_history_ = []
         for _ in range(self.epochs):
             order = shuffle_rng.permutation(n)
-            epoch_loss = 0.0
             for start in range(0, n, batch):
                 idx = order[start : start + batch]
                 xb, yb = x[idx], y_onehot[idx]
-                logits, activations, masks = self._forward(
-                    xb, drop_rng if self.dropout > 0 else None
+                logits, activations = self._forward(xb)
+                grads_w, grads_b = self._backward(
+                    xb.shape[0], softmax(logits) - yb, activations
                 )
-                probs = softmax(logits)
-                eps = 1e-12
-                epoch_loss += float(-(yb * np.log(probs + eps)).sum())
-                grads_w, grads_b = self._backward(xb.shape[0], probs - yb, activations, masks)
-                params = [*self.weights_, *self.biases_]
-                grads = [*grads_w, *grads_b]
-                optimizer.step(params, grads)
-            self.loss_history_.append(epoch_loss / n)
+                optimizer.step([*self.weights_, *self.biases_], [*grads_w, *grads_b])
         return self
 
     def _backward(
@@ -160,7 +130,6 @@ class MLPClassifier:
         batch_size: int,
         delta: np.ndarray,
         activations: list[np.ndarray],
-        masks: list[np.ndarray],
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
         grads_w: list[np.ndarray] = [None] * len(self.weights_)  # type: ignore[list-item]
         grads_b: list[np.ndarray] = [None] * len(self.biases_)  # type: ignore[list-item]
@@ -170,7 +139,6 @@ class MLPClassifier:
             grads_b[layer] = delta.sum(axis=0)
             if layer > 0:
                 delta = delta @ self.weights_[layer].T
-                delta *= masks[layer - 1]
                 delta *= (activations[layer] > 0).astype(delta.dtype)
         return grads_w, grads_b
 
@@ -184,7 +152,7 @@ class MLPClassifier:
         """Raw class logits for ``x``."""
         self._check_fitted()
         x = np.asarray(x, dtype=np.float64)
-        logits, _, _ = self._forward(x, rng=None)
+        logits, _ = self._forward(x)
         return logits
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -203,7 +171,5 @@ class MLPClassifier:
             weight_decay=self.weight_decay,
             epochs=self.epochs,
             batch_size=self.batch_size,
-            optimizer=self.optimizer,
-            dropout=self.dropout,
             seed=self.seed,
         )

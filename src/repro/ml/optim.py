@@ -1,36 +1,12 @@
-"""Gradient-descent optimizers for the numpy models.
+"""Adam, the optimizer of the numpy MLP.
 
-Both optimizers operate on lists of parameter arrays updated in place, which
-keeps the MLP implementation free of any framework dependency.
+It updates a list of parameter arrays in place, which keeps the MLP
+implementation free of any framework dependency.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class SGD:
-    """Vanilla stochastic gradient descent with optional momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0):
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity: list[np.ndarray] | None = None
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """Update ``params`` in place from ``grads``."""
-        if len(params) != len(grads):
-            raise ValueError("params and grads must align")
-        if self._velocity is None:
-            self._velocity = [np.zeros_like(p) for p in params]
-        for p, g, v in zip(params, grads, self._velocity):
-            v *= self.momentum
-            v -= self.learning_rate * g
-            p += v
 
 
 class Adam:

@@ -13,20 +13,3 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels] = 1.0
     return out
-
-
-def standardize(
-    train: np.ndarray, *others: np.ndarray, epsilon: float = 1e-8
-) -> tuple[np.ndarray, ...]:
-    """Zero-mean/unit-variance scale ``train`` and apply the same transform.
-
-    Statistics come from ``train`` only, so there is no leakage into held-out
-    matrices.  Constant columns are left centered but unscaled.
-    """
-    train = np.asarray(train, dtype=np.float64)
-    mean = train.mean(axis=0, keepdims=True)
-    std = train.std(axis=0, keepdims=True)
-    std = np.where(std < epsilon, 1.0, std)
-    scaled = [(train - mean) / std]
-    scaled.extend((np.asarray(o, dtype=np.float64) - mean) / std for o in others)
-    return tuple(scaled)

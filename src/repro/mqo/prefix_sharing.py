@@ -22,22 +22,22 @@ Two layers live here:
 
 Planning is accounting-only: a plan never changes which prompts execute or
 in what canonical order, so simulated-mode runs stay bit-identical to
-serial runs with or without it.  Each call tokenizes with a fresh
-:class:`~repro.text.tokenizer.Tokenizer`; the tokenizer has no settings, so
-its token totals equal the LLM's billed ``prompt_tokens``.
+serial runs with or without it.  Prompts are split by
+:func:`~repro.text.tokenizer.tokenize`, the function every
+:class:`~repro.text.tokenizer.Tokenizer` counts with, so token totals equal
+the LLM's billed ``prompt_tokens``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.text.tokenizer import Tokenizer
+from repro.text.tokenizer import tokenize
 
 
 def shared_prefix_tokens(a: str, b: str) -> int:
     """Number of leading tokens shared by two prompts."""
-    tokenizer = Tokenizer()
-    return _lcp(tuple(tokenizer.tokenize(a)), tuple(tokenizer.tokenize(b)))
+    return _lcp(tuple(tokenize(a)), tuple(tokenize(b)))
 
 
 def _lcp(ta: tuple[str, ...], tb: tuple[str, ...]) -> int:
@@ -91,11 +91,10 @@ def analyze_prefix_sharing(
     analyzed as-is.  Each prompt's tokens shared with its immediate
     predecessor count as cache hits.
     """
-    tokenizer = Tokenizer()
     if not prompts:
         return PrefixSharingReport(total_tokens=0, shared_tokens=0, num_prompts=0)
     order = sort_for_prefix_sharing(prompts) if reorder else list(range(len(prompts)))
-    tokens = [tuple(tokenizer.tokenize(p)) for p in prompts]
+    tokens = [tuple(tokenize(p)) for p in prompts]
     total = sum(len(t) for t in tokens)
     shared = 0
     for prev, current in zip(order, order[1:]):
@@ -181,7 +180,6 @@ def plan_prefix_batches(
     """
     if max_batch_size is not None and max_batch_size < 1:
         raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-    tokenizer = Tokenizer()
     n = len(prompts)
     if n == 0:
         return PrefixPlan(
@@ -190,7 +188,7 @@ def plan_prefix_batches(
             shared_by_prompt=(),
             report=PrefixSharingReport(total_tokens=0, shared_tokens=0, num_prompts=0),
         )
-    tokens = [tuple(tokenizer.tokenize(p)) for p in prompts]
+    tokens = [tuple(tokenize(p)) for p in prompts]
     order = sorted(range(n), key=lambda i: (tokens[i], i))
     lcp = [0] * n
     for j in range(1, n):

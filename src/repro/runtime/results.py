@@ -146,10 +146,6 @@ class RunResult:
         return sum(r.degraded for r in self.records)
 
     @property
-    def num_abstained(self) -> int:
-        return sum(r.outcome == "abstained" for r in self.records)
-
-    @property
     def num_compressed(self) -> int:
         """Queries answered from a compressed neighbor prompt."""
         return sum(r.compressed for r in self.records)

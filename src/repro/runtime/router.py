@@ -328,15 +328,3 @@ class CascadeRouter:
                 "escalations": self._escalations,
                 "cost_usd": self._cost_usd,
             }
-
-
-def make_tiers(
-    names: "Sequence[str]", make_llm, **make_kwargs
-) -> list[RouterTier]:
-    """Build :class:`RouterTier` rungs from model names and a client factory.
-
-    ``make_llm`` is called as ``make_llm(name, **make_kwargs)`` per tier —
-    e.g. ``ExperimentSetup.make_llm``.  Order is preserved: pass cheapest
-    first.
-    """
-    return [RouterTier(name=name, llm=make_llm(name, **make_kwargs)) for name in names]

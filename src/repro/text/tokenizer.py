@@ -16,8 +16,11 @@ construction.
 
 :meth:`Tokenizer.count` is memoised per instance: a bounded map from text to
 count that lives exactly as long as the tokenizer (one LLM, engine or
-compressor, so one run).  :meth:`Tokenizer.tokenize` and
-:meth:`Tokenizer.words` are not: they return fresh lists the caller owns.
+compressor, so one run).  :func:`tokenize` reads no state, so callers that
+only split text (the prefix planner) call it without building a tokenizer;
+:meth:`Tokenizer.tokenize` delegates to it.  Neither it nor
+:meth:`Tokenizer.words` is memoised: they return fresh lists the caller
+owns.
 """
 
 from __future__ import annotations
@@ -44,6 +47,11 @@ _WORDS_RE = re.compile(r"[A-Za-z0-9]+|[^\W_A-Za-z0-9]")
 _COUNT_MEMO_SIZE = 256
 
 
+def tokenize(text: str) -> list[str]:
+    """Split ``text`` into tokens (sub-word pieces and punctuation)."""
+    return _TOKENS_RE.findall(text.lower())
+
+
 class Tokenizer:
     """Lower-casing word/sub-word tokenizer with deterministic output.
 
@@ -58,8 +66,8 @@ class Tokenizer:
         self._count_memo = lru_cache(maxsize=_COUNT_MEMO_SIZE)(self._count_uncached)
 
     def tokenize(self, text: str) -> list[str]:
-        """Split ``text`` into tokens (sub-word pieces and punctuation)."""
-        return _TOKENS_RE.findall(text.lower())
+        """Split ``text`` into tokens (see :func:`tokenize`)."""
+        return tokenize(text)
 
     def words(self, text: str) -> list[str]:
         """Split ``text`` into whole alphanumeric words (no sub-word pieces).

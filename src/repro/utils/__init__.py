@@ -1,21 +1,12 @@
 """Shared utilities: deterministic RNG derivation, validation, logging."""
 
 from repro.utils.rng import derive_seed, spawn_rng, stable_hash
-from repro.utils.validation import (
-    check_fraction,
-    check_in,
-    check_nonnegative,
-    check_positive,
-    check_probability_vector,
-)
+from repro.utils.validation import check_fraction, check_positive
 
 __all__ = [
     "derive_seed",
     "spawn_rng",
     "stable_hash",
     "check_fraction",
-    "check_in",
-    "check_nonnegative",
     "check_positive",
-    "check_probability_vector",
 ]

@@ -6,10 +6,6 @@ misuse fails at the public API boundary rather than deep inside numpy code.
 
 from __future__ import annotations
 
-from collections.abc import Collection
-
-import numpy as np
-
 
 def check_positive(name: str, value: float) -> None:
     """Require ``value > 0``."""
@@ -17,31 +13,7 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 
-def check_nonnegative(name: str, value: float) -> None:
-    """Require ``value >= 0``."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-
-
 def check_fraction(name: str, value: float) -> None:
     """Require ``0 <= value <= 1``."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be within [0, 1], got {value!r}")
-
-
-def check_in(name: str, value: object, allowed: Collection[object]) -> None:
-    """Require ``value`` to be one of ``allowed``."""
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {sorted(map(str, allowed))}, got {value!r}")
-
-
-def check_probability_vector(name: str, vector: np.ndarray, atol: float = 1e-6) -> None:
-    """Require a 1-D vector of non-negative entries summing to one."""
-    arr = np.asarray(vector, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if (arr < -atol).any():
-        raise ValueError(f"{name} must be non-negative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > atol:
-        raise ValueError(f"{name} must sum to 1, got {total}")

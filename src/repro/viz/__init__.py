@@ -1,5 +1,5 @@
 """Terminal visualization: ASCII bar charts, line plots, sparklines."""
 
-from repro.viz.ascii_charts import bar_chart, line_plot, sparkline
+from repro.viz.ascii_charts import bar_chart, sparkline
 
-__all__ = ["bar_chart", "line_plot", "sparkline"]
+__all__ = ["bar_chart", "sparkline"]

@@ -1,8 +1,9 @@
 """Dependency-free ASCII charts for experiment output.
 
 The paper's Figs. 3, 7 and 8 are bar and line charts; these helpers render
-their reproduced series directly in the terminal so benchmark output can be
-eyeballed against the paper without a plotting stack.
+their reproduced series as bars and sparklines directly in the terminal, so
+benchmark output can be eyeballed against the paper without a plotting
+stack.
 """
 
 from __future__ import annotations
@@ -55,51 +56,4 @@ def bar_chart(
             raise ValueError("bar_chart requires non-negative values")
         filled = 0 if peak == 0 else int(round(value / peak * width))
         lines.append(f"{str(label).rjust(label_width)} | {_BAR_CHAR * filled} {value:g}{unit}")
-    return "\n".join(lines)
-
-
-def line_plot(
-    series: dict[str, Sequence[float]],
-    x_labels: Sequence[str] | None = None,
-    height: int = 10,
-    title: str | None = None,
-) -> str:
-    """Multi-series character plot (one glyph per series).
-
-    All series must share a length; the y-axis spans the pooled min/max.
-    Points from different series landing on the same cell show the later
-    series' glyph.
-    """
-    if not series:
-        raise ValueError("need at least one series")
-    if height < 2:
-        raise ValueError("height must be >= 2")
-    lengths = {len(v) for v in series.values()}
-    if len(lengths) != 1:
-        raise ValueError("all series must share a length")
-    (n,) = lengths
-    if n == 0:
-        raise ValueError("series must be non-empty")
-    if x_labels is not None and len(x_labels) != n:
-        raise ValueError("x_labels must align with the series length")
-
-    glyphs = "ox*+#@"
-    pooled = [float(v) for vals in series.values() for v in vals]
-    lo, hi = min(pooled), max(pooled)
-    span = hi - lo if hi > lo else 1.0
-    grid = [[" "] * n for _ in range(height)]
-    for gi, (name, vals) in enumerate(series.items()):
-        glyph = glyphs[gi % len(glyphs)]
-        for x, v in enumerate(vals):
-            y = int(round((float(v) - lo) / span * (height - 1)))
-            grid[height - 1 - y][x] = glyph
-
-    lines = [title] if title else []
-    for row_index, row in enumerate(grid):
-        y_value = hi - span * row_index / (height - 1)
-        lines.append(f"{y_value:8.1f} | " + "  ".join(row))
-    if x_labels is not None:
-        lines.append(" " * 11 + "  ".join(str(x)[:2].ljust(1) for x in x_labels))
-    legend = "   ".join(f"{glyphs[i % len(glyphs)]}={name}" for i, name in enumerate(series))
-    lines.append(f"legend: {legend}")
     return "\n".join(lines)

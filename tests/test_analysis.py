@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.breakdowns import (
-    accuracy_by_class,
-    accuracy_by_neighbor_count,
-    accuracy_by_round,
-    token_histogram,
-)
+from repro.analysis.breakdowns import accuracy_by_neighbor_count
 from repro.analysis.comparison import compare_runs, mcnemar_counts
 from repro.analysis.costs import cost_summary, extrapolate_cost
 from repro.runtime.results import QueryRecord, RunResult
@@ -42,34 +37,15 @@ def run() -> RunResult:
 
 
 class TestBreakdowns:
-    def test_accuracy_by_class(self, run):
-        by_class = accuracy_by_class(run, ["zero", "one"])
-        assert by_class["zero"] == (0.5, 2)
-        assert by_class["one"] == (1.0, 2)
-
     def test_accuracy_by_neighbor_count(self, run):
         by_count = accuracy_by_neighbor_count(run)
         assert by_count[0] == (1.0, 1)
         assert by_count[1] == (0.5, 2)
         assert by_count[2] == (1.0, 1)
 
-    def test_accuracy_by_round(self, run):
-        by_round = accuracy_by_round(run)
-        assert by_round[0] == (0.5, 2)
-        assert by_round[1] == (1.0, 2)
-
-    def test_accuracy_by_round_requires_rounds(self):
-        with pytest.raises(ValueError):
-            accuracy_by_round(RunResult([record(0)]))
-
-    def test_token_histogram(self, run):
-        bins = token_histogram(run, num_bins=2)
-        assert len(bins) == 2
-        assert sum(count for _, _, count in bins) == 4
-
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError):
-            accuracy_by_class(RunResult(), ["a"])
+            accuracy_by_neighbor_count(RunResult())
 
 
 class TestComparison:

@@ -15,15 +15,18 @@ from __future__ import annotations
 import pytest
 
 from repro.core.boosting import BoostingStepper, QueryBoostingStrategy
-from repro.core.budget import BudgetLedger
 from repro.experiments.common import load_setup
-from repro.experiments.sharding import build_cluster, cluster_cache_stats
+from repro.experiments.sharding import (
+    build_cluster,
+    cluster_cache_stats,
+    one_shard_mismatches,
+    run_unsharded,
+    unsharded_engine,
+)
 from repro.graph.sampling import partition_graph
 from repro.io.runs import RunCheckpointer
-from repro.llm.caching import CachingLLM, MemoryCacheStore, SharedFlight
-from repro.llm.reliability import LatencyLLM, SimulatedClock
+from repro.llm.caching import MemoryCacheStore, SharedFlight
 from repro.runtime.cluster import ClusterWorker, ShardedCluster, partition_queries
-from repro.runtime.scheduler import QueryScheduler
 from repro.runtime.serve import ServeRequest, ServingLayer, TenantSpec
 
 
@@ -34,23 +37,6 @@ def setup():
 
 def fresh_setup():
     return load_setup("cora", num_queries=40, scale=0.15)
-
-
-def make_unsharded_engine(setup, store=None):
-    """The exact stack a one-shard cluster worker gets, outside the cluster."""
-    clock = SimulatedClock()
-    llm = CachingLLM(
-        LatencyLLM(setup.make_llm(), clock, seconds_per_call=1.0),
-        store=MemoryCacheStore(max_entries=None) if store is None else store,
-        flight=SharedFlight(),
-    )
-    return setup.make_engine(
-        "sns",
-        llm=llm,
-        clock=clock,
-        scheduler=QueryScheduler(max_batch_size=8, max_concurrency=4, mode="simulated"),
-        ledger=BudgetLedger(),
-    )
 
 
 class TestPartitionQueries:
@@ -73,7 +59,7 @@ class TestPartitionQueries:
 class TestOneShardTransparency:
     def test_records_rounds_and_ledger_match_unsharded(self):
         serial_setup = fresh_setup()
-        engine = make_unsharded_engine(serial_setup)
+        engine = unsharded_engine(serial_setup)
         serial = QueryBoostingStrategy().execute(engine, serial_setup.queries)
 
         cluster_setup = fresh_setup()
@@ -87,10 +73,21 @@ class TestOneShardTransparency:
         assert cluster.engines[0].ledger.spent == engine.ledger.spent
         assert cluster.engines[0].ledger.charges == engine.ledger.charges
         assert result.gossiped_labels == 0 and result.gossip_deliveries == 0
+        assert one_shard_mismatches((serial, engine.ledger), cluster, result) == []
+
+    def test_mismatches_report_a_run_that_is_not_the_reference(self):
+        """The shared contract check CLI and benchmark read must fail loudly."""
+        reference = run_unsharded(fresh_setup())
+        cluster = build_cluster(fresh_setup(), 2, store=MemoryCacheStore(max_entries=None))
+        mismatches = one_shard_mismatches(
+            reference, cluster, cluster.run_boosting(QueryBoostingStrategy())
+        )
+        assert "shards=1 round structure differs from the unsharded run" in mismatches
+        assert any("ledger" in m for m in mismatches)
 
     def test_checkpoint_files_match_unsharded(self, tmp_path):
         serial_setup = fresh_setup()
-        engine = make_unsharded_engine(serial_setup)
+        engine = unsharded_engine(serial_setup)
         serial_ckpt = RunCheckpointer(tmp_path / "serial.json")
         QueryBoostingStrategy().execute(
             engine, serial_setup.queries, checkpointer=serial_ckpt
@@ -272,7 +269,7 @@ class TestClusterServe:
         tenants = [TenantSpec("alpha", weight=2), TenantSpec("beta", weight=1)]
 
         plain_setup = fresh_setup()
-        plain_engine = make_unsharded_engine(plain_setup)
+        plain_engine = unsharded_engine(plain_setup)
         plain_engine.ledger = None
         plain = ServingLayer(plain_engine, tenants=tenants)
         plain_report = plain.replay(self.make_requests(plain_setup, tenants))

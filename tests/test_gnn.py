@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.gnn.gcn import GCNClassifier
-from repro.gnn.propagation import mean_adjacency, normalized_adjacency, propagate
+from repro.gnn.propagation import mean_adjacency, normalized_adjacency
 from repro.gnn.sage import GraphSAGEClassifier
 from repro.ml.metrics import accuracy
 
@@ -27,23 +27,6 @@ class TestPropagation:
         sums = np.asarray(adj.sum(axis=1)).ravel()
         connected = np.asarray(tiny_graph.degree()) > 0
         assert np.allclose(sums[connected], 1.0)
-
-    def test_propagate_zero_hops_identity(self, tiny_graph):
-        adj = normalized_adjacency(tiny_graph)
-        x = np.random.default_rng(0).normal(size=(tiny_graph.num_nodes, 4))
-        assert np.array_equal(propagate(adj, x, hops=0), x)
-
-    def test_propagate_smooths(self, tiny_graph):
-        """Propagation reduces feature variance across connected nodes."""
-        adj = normalized_adjacency(tiny_graph)
-        x = np.random.default_rng(0).normal(size=(tiny_graph.num_nodes, 1))
-        smoothed = propagate(adj, x, hops=3)
-        assert smoothed.std() < x.std()
-
-    def test_negative_hops(self, tiny_graph):
-        with pytest.raises(ValueError):
-            propagate(normalized_adjacency(tiny_graph), np.zeros((tiny_graph.num_nodes, 1)), hops=-1)
-
 
 @pytest.mark.parametrize("model_cls", [GCNClassifier, GraphSAGEClassifier])
 class TestGNNClassifiers:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graph.homophily import edge_homophily, node_homophily
+from repro.graph.homophily import edge_homophily
 from repro.graph.tag import TextAttributedGraph
 from repro.text.corpus import NodeText
 
@@ -39,22 +39,6 @@ class TestEdgeHomophily:
     def test_empty_graph(self):
         g = labeled_graph([0, 1], [])
         assert edge_homophily(g) == 0.0
-
-
-class TestNodeHomophily:
-    def test_matches_manual(self):
-        # node0: nbr 1 (same) -> 1.0; node1: nbrs 0 (same), 2 (diff) -> 0.5;
-        # node2: nbr 1 (diff) -> 0.0
-        g = labeled_graph([0, 0, 1], [(0, 1), (1, 2)])
-        assert node_homophily(g) == pytest.approx((1.0 + 0.5 + 0.0) / 3)
-
-    def test_isolated_nodes_skipped(self):
-        g = labeled_graph([0, 0, 1], [(0, 1)])
-        assert node_homophily(g) == pytest.approx(1.0)
-
-    def test_all_isolated(self):
-        g = labeled_graph([0, 1], [])
-        assert node_homophily(g) == 0.0
 
 
 class TestGeneratorHomophilyHonored:

@@ -1,15 +1,13 @@
-"""Tests for graph and run persistence."""
+"""Tests for run and checkpoint persistence."""
 
 from __future__ import annotations
 
 import json
 import zlib
 
-import numpy as np
 import pytest
 
 from repro.io.atomic import append_line_durable, crc_line, read_crc_line
-from repro.io.graphs import load_graph, save_graph
 from repro.io.runs import (
     CheckpointState,
     RunCheckpointer,
@@ -21,42 +19,6 @@ from repro.io.runs import (
     write_csv,
 )
 from repro.runtime.results import QueryRecord, RunResult
-
-
-class TestGraphPersistence:
-    def test_roundtrip_exact(self, tiny_graph, tmp_path):
-        save_graph(tiny_graph, tmp_path / "g")
-        loaded = load_graph(tmp_path / "g")
-        assert loaded.name == tiny_graph.name
-        assert loaded.class_names == tiny_graph.class_names
-        assert np.array_equal(loaded.indptr, tiny_graph.indptr)
-        assert np.array_equal(loaded.indices, tiny_graph.indices)
-        assert np.array_equal(loaded.labels, tiny_graph.labels)
-        assert np.array_equal(loaded.features, tiny_graph.features)
-        assert loaded.texts[0] == tiny_graph.texts[0]
-        assert loaded.texts[-1] == tiny_graph.texts[-1]
-
-    def test_loaded_graph_is_functional(self, tiny_graph, tmp_path):
-        save_graph(tiny_graph, tmp_path / "g")
-        loaded = load_graph(tmp_path / "g")
-        node = 0
-        assert list(loaded.neighbors(node)) == list(tiny_graph.neighbors(node))
-        assert loaded.num_edges == tiny_graph.num_edges
-
-    def test_missing_directory(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_graph(tmp_path / "nowhere")
-
-    def test_version_check(self, tiny_graph, tmp_path):
-        import json
-
-        save_graph(tiny_graph, tmp_path / "g")
-        meta_path = tmp_path / "g" / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["format_version"] = 99
-        meta_path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="format version"):
-            load_graph(tmp_path / "g")
 
 
 def sample_run() -> RunResult:

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.ml.metrics import (
     accuracy,
-    confusion_matrix,
     entropy,
     misclassification_ratios,
     softmax,
@@ -67,16 +66,6 @@ class TestAccuracy:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             accuracy(np.array([1]), np.array([1, 2]))
-
-
-class TestConfusionMatrix:
-    def test_counts(self):
-        m = confusion_matrix(np.array([0, 0, 1]), np.array([0, 1, 1]), num_classes=2)
-        assert m.tolist() == [[1, 1], [0, 1]]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            confusion_matrix(np.array([0]), np.array([5]), num_classes=2)
 
 
 class TestMisclassificationRatios:

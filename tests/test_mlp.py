@@ -35,8 +35,13 @@ class TestFit:
 
     def test_loss_decreases(self):
         x, y = blobs()
-        model = MLPClassifier(hidden_sizes=(8,), epochs=50, seed=0).fit(x, y)
-        assert model.loss_history_[-1] < model.loss_history_[0]
+        y_onehot = one_hot(y, 3)
+
+        def cross_entropy(epochs: int) -> float:
+            model = MLPClassifier(hidden_sizes=(8,), epochs=epochs, seed=0).fit(x, y)
+            return float(-(y_onehot * np.log(model.predict_proba(x) + 1e-12)).sum(axis=1).mean())
+
+        assert cross_entropy(50) < cross_entropy(1)
 
     def test_deterministic_given_seed(self):
         x, y = blobs()
@@ -70,11 +75,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="batch_size"):
             MLPClassifier(batch_size=batch_size)
 
+    @pytest.mark.parametrize("learning_rate", [0, -0.01])
+    def test_rejects_nonpositive_learning_rate(self, learning_rate):
+        """Checked at construction, not first when ``fit`` builds Adam."""
+        with pytest.raises(ValueError, match="learning_rate"):
+            MLPClassifier(learning_rate=learning_rate)
+
     def test_accepts_full_batch_and_positive_sizes(self):
         x, y = blobs()
         for batch_size in (None, 1, 7):
             model = MLPClassifier(epochs=2, batch_size=batch_size).fit(x, y)
-            assert len(model.loss_history_) == 2
+            assert model.predict_proba(x).shape == (x.shape[0], 3)
 
 class TestPredictProba:
     def test_rows_sum_to_one(self):
@@ -87,7 +98,7 @@ class TestPredictProba:
 
 class TestClone:
     def test_clone_is_unfitted_copy(self):
-        model = MLPClassifier(hidden_sizes=(4,), learning_rate=0.42, dropout=0.1)
+        model = MLPClassifier(hidden_sizes=(4,), learning_rate=0.42)
         clone = model.clone()
         assert clone.weights_ is None
         assert clone.learning_rate == 0.42
@@ -109,9 +120,9 @@ class TestGradients:
             probs = softmax(model.predict_logits(x))
             return float(-(y_onehot * np.log(probs + 1e-12)).sum() / x.shape[0])
 
-        logits, activations, masks = model._forward(x, rng=None)
+        logits, activations = model._forward(x)
         probs = softmax(logits)
-        grads_w, grads_b = model._backward(x.shape[0], probs - y_onehot, activations, masks)
+        grads_w, grads_b = model._backward(x.shape[0], probs - y_onehot, activations)
 
         eps = 1e-6
         for layer in range(2):

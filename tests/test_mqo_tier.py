@@ -12,8 +12,6 @@ from repro.llm.pricing import (
     PRICES_PER_1K_TOKENS,
     UnknownModelError,
     cache_discount_usd,
-    cost_usd,
-    cost_usd_with_cache,
 )
 from repro.llm.reliability import SimulatedClock
 from repro.llm.simulated import SimulatedLLM, parse_prompt
@@ -46,21 +44,9 @@ class TestCachePricing:
         expected = 1000 / 1000.0 * (price.input_per_1k - price.cached_rate)
         assert cache_discount_usd("gpt-3.5", 1000) == pytest.approx(expected)
 
-    def test_cost_with_cache_equals_gross_minus_discount(self):
-        gross = cost_usd("gpt-4", 2000, 100)
-        discount = cache_discount_usd("gpt-4", 500)
-        assert cost_usd_with_cache("gpt-4", 2000, 100, cached_prompt_tokens=500) == (
-            pytest.approx(gross - discount)
-        )
-
-    def test_zero_cached_tokens_changes_nothing(self):
-        assert cost_usd_with_cache("gpt-3.5", 1234, 56) == cost_usd("gpt-3.5", 1234, 56)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
             cache_discount_usd("gpt-3.5", -1)
-        with pytest.raises(ValueError, match="exceeds"):
-            cost_usd_with_cache("gpt-3.5", 100, cached_prompt_tokens=101)
         with pytest.raises(UnknownModelError):
             cache_discount_usd("nonesuch", 10)
 

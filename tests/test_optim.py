@@ -1,51 +1,16 @@
-"""Tests for SGD and Adam optimizers."""
+"""Tests for the Adam optimizer."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.ml.optim import SGD, Adam
+from repro.ml.optim import Adam
 
 
 def quadratic_grad(params):
     """Gradient of f(x) = ||x||^2 / 2 is x itself."""
     return [p.copy() for p in params]
-
-
-class TestSGD:
-    def test_descends_quadratic(self):
-        opt = SGD(learning_rate=0.1)
-        x = [np.array([10.0, -10.0])]
-        for _ in range(200):
-            opt.step(x, quadratic_grad(x))
-        assert np.abs(x[0]).max() < 1e-3
-
-    def test_momentum_accelerates(self):
-        plain, momentum = [np.array([10.0])], [np.array([10.0])]
-        opt_plain = SGD(learning_rate=0.01)
-        opt_mom = SGD(learning_rate=0.01, momentum=0.9)
-        for _ in range(50):
-            opt_plain.step(plain, quadratic_grad(plain))
-            opt_mom.step(momentum, quadratic_grad(momentum))
-        assert abs(momentum[0][0]) < abs(plain[0][0])
-
-    def test_updates_in_place(self):
-        x = [np.ones(3)]
-        ref = x[0]
-        SGD(learning_rate=0.5).step(x, [np.ones(3)])
-        assert ref is x[0]
-        assert np.allclose(ref, 0.5)
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            SGD(learning_rate=0)
-        with pytest.raises(ValueError):
-            SGD(learning_rate=0.1, momentum=1.0)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            SGD().step([np.ones(2)], [])
 
 
 class TestAdam:

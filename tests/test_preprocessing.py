@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ml.preprocessing import one_hot, standardize
+from repro.ml.preprocessing import one_hot
 
 
 class TestOneHot:
@@ -19,25 +19,3 @@ class TestOneHot:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             one_hot(np.array([3]), num_classes=3)
-
-
-class TestStandardize:
-    def test_train_becomes_standard(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(5, 3, size=(200, 4))
-        (scaled,) = standardize(x)
-        assert np.allclose(scaled.mean(axis=0), 0, atol=1e-10)
-        assert np.allclose(scaled.std(axis=0), 1, atol=1e-10)
-
-    def test_others_use_train_statistics(self):
-        train = np.array([[0.0], [2.0]])
-        test = np.array([[1.0]])
-        scaled_train, scaled_test = standardize(train, test)
-        # mean 1, std 1 -> test value 1 maps to 0
-        assert scaled_test[0, 0] == pytest.approx(0.0)
-
-    def test_constant_columns_not_exploded(self):
-        train = np.ones((10, 2))
-        (scaled,) = standardize(train)
-        assert np.isfinite(scaled).all()
-        assert np.allclose(scaled, 0.0)

@@ -18,7 +18,6 @@ from repro.runtime.router import (
     RoutedResponse,
     RouterTier,
     TierAttempt,
-    make_tiers,
 )
 
 
@@ -180,13 +179,6 @@ class TestCascadeRouter:
         assert stats["resolved_by_tier"] == {"cheap-sim": 0, "strong-sim": 1}
         assert stats["replayed_by_tier"] == {"cheap-sim": 1, "strong-sim": 0}
         assert stats["escalations"] == 1
-
-    def test_make_tiers_preserves_order(self):
-        tiers = make_tiers(
-            ["cheap-sim", "strong-sim"], lambda name: ScriptedLLM(name, "x")
-        )
-        assert [t.name for t in tiers] == ["cheap-sim", "strong-sim"]
-
 
 class TestRoutedEngine:
     def make_router(self, tag, inadequacy=None, confidence_threshold=0.6):

@@ -11,7 +11,6 @@ small cora serve stream and count the bodies that actually ran.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 
 import pytest
@@ -36,17 +35,17 @@ def cora():
 
 
 class _Spies:
-    """Class-level spies on the compress body and on ``tokenize``.
+    """Class-level spies on the compress body, on ``Tokenizer.tokenize`` and
+    on the prefix planner.
 
-    ``tokenize`` calls made inside the prefix planner are kept apart: the
-    planner tokenizes whole prompts for their prefixes and is not memoised.
+    The planner splits prompts with the module-level ``tokenize``, so every
+    call the ``Tokenizer.tokenize`` spy sees comes from a tokenizer's count.
     """
 
     def __init__(self, monkeypatch):
         self.bodies: Counter = Counter()
         self.tokenized: Counter = Counter()
-        self.planner_tokenized = 0
-        self._in_planner = threading.local()
+        self.plans = 0
         compress_body = PromptCompressor._compress_uncached
         tokenize = Tokenizer.tokenize
         plan = scheduler_module.plan_prefix_batches
@@ -56,18 +55,12 @@ class _Spies:
             return compress_body(compressor, prompt, target_tokens)
 
         def spy_tokenize(tokenizer, text):
-            if getattr(self._in_planner, "on", False):
-                self.planner_tokenized += 1
-            else:
-                self.tokenized[id(tokenizer), text] += 1
+            self.tokenized[id(tokenizer), text] += 1
             return tokenize(tokenizer, text)
 
         def spy_plan(*args, **kwargs):
-            self._in_planner.on = True
-            try:
-                return plan(*args, **kwargs)
-            finally:
-                self._in_planner.on = False
+            self.plans += 1
+            return plan(*args, **kwargs)
 
         monkeypatch.setattr(PromptCompressor, "_compress_uncached", spy_body)
         monkeypatch.setattr(Tokenizer, "tokenize", spy_tokenize)
@@ -108,7 +101,7 @@ def test_each_distinct_prompt_is_compressed_and_counted_once(cora, monkeypatch):
     engine, report = _serve(cora, compressor)
     # Both LLM rungs carry traffic, so the gate prices full prompts too.
     assert report.tier_counts["ok"] > 0 and report.tier_counts["degraded_compressed"] > 0
-    assert spies.planner_tokenized > 0, "the prefix planner never ran"
+    assert spies.plans > 0, "the prefix planner never ran"
 
     # The stream repeats work; each distinct (prompt, target_tokens) ran
     # its body once, and every other call was a memo hit.
@@ -118,7 +111,7 @@ def test_each_distinct_prompt_is_compressed_and_counted_once(cora, monkeypatch):
     assert {key[0] for key in spies.bodies} == {id(compressor)}
 
     # Within capacity, each tokenizer tokenizes each distinct text at most
-    # once outside the planner, though the run counts texts many times over.
+    # once, though the run counts texts many times over.
     llm_tokenizer = engine.llm.tokenizer
     for tokenizer in (llm_tokenizer, compressor.tokenizer):
         texts = [n for (owner, _), n in spies.tokenized.items() if owner == id(tokenizer)]

@@ -12,9 +12,13 @@ from hypothesis import strategies as st
 
 from repro.llm.simulated import SimulatedLLM
 from repro.mqo.compression import PromptCompressor
-from repro.mqo.prefix_sharing import analyze_prefix_sharing, plan_prefix_batches
+from repro.mqo.prefix_sharing import (
+    analyze_prefix_sharing,
+    plan_prefix_batches,
+    shared_prefix_tokens,
+)
 from repro.prompts.builder import NeighborEntry, PromptBuilder
-from repro.text.tokenizer import _COUNT_MEMO_SIZE, Tokenizer
+from repro.text.tokenizer import _COUNT_MEMO_SIZE, Tokenizer, tokenize
 
 
 class TestTokenize:
@@ -34,6 +38,23 @@ class TestTokenize:
 
     def test_empty_text(self):
         assert Tokenizer().tokenize("") == []
+
+    def test_prefix_analyses_build_no_tokenizer(self, monkeypatch):
+        """The prefix planner and analyzers split with the stateless
+        ``tokenize``; a throwaway ``Tokenizer`` would build an unused memo."""
+        built = []
+        init = Tokenizer.__init__
+
+        def spy_init(tokenizer):
+            built.append(tokenizer)
+            init(tokenizer)
+
+        monkeypatch.setattr(Tokenizer, "__init__", spy_init)
+        prompts = ["Paper: graph mining.", "Paper: graph neural nets.", "Other"]
+        assert plan_prefix_batches(prompts, max_batch_size=2).report.total_tokens > 0
+        assert analyze_prefix_sharing(prompts).shared_tokens > 0
+        assert shared_prefix_tokens(prompts[0], prompts[1]) == 3
+        assert built == []
 
 
 class TestWords:
@@ -106,6 +127,7 @@ class TestReferenceOracle:
         tokenizer = Tokenizer()
         expected = _reference_tokenize(text, 6, True)
         assert tokenizer.tokenize(text) == expected
+        assert tokenize(text) == expected
         assert tokenizer.count(text) == len(expected)
         assert tokenizer.words(text) == _reference_words(text, True)
 

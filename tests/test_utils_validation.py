@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.utils.validation import (
-    check_fraction,
-    check_in,
-    check_nonnegative,
-    check_positive,
-    check_probability_vector,
-)
+from repro.utils.validation import check_fraction, check_positive
 
 
 class TestNumericChecks:
@@ -22,13 +15,6 @@ class TestNumericChecks:
         with pytest.raises(ValueError, match="x must be positive"):
             check_positive("x", 0)
 
-    def test_nonnegative_accepts_zero(self):
-        check_nonnegative("x", 0)
-
-    def test_nonnegative_rejects(self):
-        with pytest.raises(ValueError):
-            check_nonnegative("x", -1e-9)
-
     def test_fraction_bounds(self):
         check_fraction("f", 0.0)
         check_fraction("f", 1.0)
@@ -36,29 +22,3 @@ class TestNumericChecks:
             check_fraction("f", 1.0001)
         with pytest.raises(ValueError):
             check_fraction("f", -0.0001)
-
-
-class TestCheckIn:
-    def test_accepts_member(self):
-        check_in("mode", "a", {"a", "b"})
-
-    def test_rejects_nonmember(self):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            check_in("mode", "c", {"a", "b"})
-
-
-class TestProbabilityVector:
-    def test_accepts_valid(self):
-        check_probability_vector("p", np.array([0.25, 0.75]))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            check_probability_vector("p", np.array([-0.1, 1.1]))
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            check_probability_vector("p", np.array([0.4, 0.4]))
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError, match="1-D"):
-            check_probability_vector("p", np.ones((2, 2)) / 4)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.viz.ascii_charts import bar_chart, line_plot, sparkline
+from repro.viz.ascii_charts import bar_chart, sparkline
 
 
 class TestSparkline:
@@ -50,29 +50,3 @@ class TestBarChart:
     def test_all_zero(self):
         out = bar_chart(["a"], [0])
         assert "█" not in out
-
-
-class TestLinePlot:
-    def test_renders_all_series(self):
-        out = line_plot({"ours": [1, 2, 3], "random": [3, 2, 1]}, height=5)
-        assert "o" in out and "x" in out
-        assert "legend: o=ours   x=random" in out
-
-    def test_height_rows(self):
-        out = line_plot({"s": [1, 2]}, height=6)
-        rows = [line for line in out.splitlines() if "|" in line]
-        assert len(rows) == 6
-
-    def test_x_labels_row(self):
-        out = line_plot({"s": [1, 2]}, x_labels=["lo", "hi"], height=3)
-        assert out.splitlines()[-2].strip().startswith("l")
-
-    def test_mismatched_series(self):
-        with pytest.raises(ValueError):
-            line_plot({"a": [1, 2], "b": [1]})
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            line_plot({})
-        with pytest.raises(ValueError):
-            line_plot({"a": []})
