@@ -370,7 +370,7 @@ def generate_tag(config: GeneratorConfig, seed: int = 0) -> GeneratedTag:
     texts = _inject_link_tokens(config, edges, texts, vocabulary, seed)
 
     encoder = _make_encoder(config)
-    features = encoder.fit_transform([t.full for t in texts])
+    features = encoder.fit_transform(t.full for t in texts)
 
     graph = TextAttributedGraph.from_edges(
         num_nodes=config.num_nodes,

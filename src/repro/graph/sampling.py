@@ -115,9 +115,6 @@ class GraphPartition:
     def sizes(self) -> list[int]:
         return [int((self.assignment == p).sum()) for p in range(self.num_parts)]
 
-    def crosses(self, u: int, v: int) -> bool:
-        return self.part_of(u) != self.part_of(v)
-
 
 def _partition_seeds(graph: TextAttributedGraph, num_parts: int) -> list[int]:
     """Deterministic growth seeds: high-degree nodes, label-stratified.

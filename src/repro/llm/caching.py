@@ -278,17 +278,6 @@ class CachingLLM(LLMClient):
             }
 
     def clear(self) -> None:
-        """Drop every cached entry; lifetime stats are preserved.
-
-        (Use :meth:`reset_stats` to also rewind the counters.)
-        """
+        """Drop every cached entry; lifetime stats are preserved."""
         with self.flight.lock:
             self.store.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the lifetime hit/miss/eviction counters."""
-        with self.flight.lock:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            self.coalesced = 0

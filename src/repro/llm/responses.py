@@ -18,6 +18,10 @@ _CATEGORY_RE = re.compile(r"category\s*:\s*\[\s*['\"]([^'\"]+)['\"]\s*\]", re.IG
 #: accuracy accounting, which scores it incorrect) can handle it uniformly.
 ABSTAIN = None
 
+#: Handed on in place of a parsed label (which may be :data:`ABSTAIN`) when
+#: the completion has not been parsed yet, so each completion is parsed once.
+UNPARSED = object()
+
 
 def format_category_response(class_name: str) -> str:
     """Render the canonical response line for ``class_name``."""

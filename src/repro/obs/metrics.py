@@ -66,9 +66,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += float(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= float(amount)
-
 
 class Histogram:
     """Fixed-bucket histogram (per-query tokens, latencies, round sizes).

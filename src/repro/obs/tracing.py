@@ -157,9 +157,6 @@ class SpanTracer:
         """Header line plus every span, in start order."""
         return [self.header(), *(s.to_dict(self.run_id) for s in self.spans)]
 
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(d, sort_keys=True) for d in self.to_dicts()) + "\n"
-
     def write_jsonl(self, path: str | Path, extra_lines: list[dict] | None = None) -> Path:
         """Write the trace (plus optional trailing lines, e.g. a metrics
         snapshot) as JSONL at ``path``."""

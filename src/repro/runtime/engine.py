@@ -27,7 +27,7 @@ from repro.core.budget import BudgetLedger
 from repro.graph.tag import TextAttributedGraph
 from repro.llm.interface import LLMClient, LLMResponse
 from repro.llm.reliability import TransientLLMError, track_call_retries
-from repro.llm.responses import parse_category_response
+from repro.llm.responses import UNPARSED, parse_category_response
 from repro.mqo.compression import PromptCompressor
 from repro.prompts.builder import NeighborEntry, PromptBuilder
 from repro.runtime.fallback import PRUNED, SURROGATE, DegradationLadder, rungs_from
@@ -334,6 +334,7 @@ class MultiQueryEngine:
         round_index: int | None,
         outcome: str,
         compressed: bool = False,
+        predicted: int | None | object = UNPARSED,
     ) -> QueryRecord:
         """Charge the ledger and parse one completion into a record.
 
@@ -341,14 +342,16 @@ class MultiQueryEngine:
         :class:`~repro.runtime.router.RoutedResponse`; the latter carries
         cascade provenance and a per-tier dollar cost, both of which land on
         the record, and its dollars charge the unified ledger alongside the
-        tokens.
+        tokens.  A caller that already parsed ``response`` passes the label
+        as ``predicted``, and the text is not parsed again.
         """
         routed_cost = getattr(response, "cost_usd", None)
         if self.ledger is not None:
             self.ledger.charge(
                 response.total_tokens, usd=routed_cost if routed_cost is not None else 0.0
             )
-        predicted = parse_category_response(response.text, self.graph.class_names)
+        if predicted is UNPARSED:
+            predicted = parse_category_response(response.text, self.graph.class_names)
         labeled_neighbors = [sn for sn in selected if sn.label is not None]
         return QueryRecord(
             node=node,
@@ -609,6 +612,7 @@ class MultiQueryEngine:
         call_retries: int,
         extra_span_attrs: dict | None = None,
         compressed: bool = False,
+        predicted: int | None | object = UNPARSED,
     ) -> QueryRecord:
         """Turn a phase-1 completion into a record (thread-dispatch merge).
 
@@ -619,6 +623,7 @@ class MultiQueryEngine:
         on a worker thread) and tagged ``batched`` for trace consumers.
         ``extra_span_attrs`` lets the readiness scheduler add its additive
         ``dag_*`` attributes (trace schema v3) without touching the record.
+        ``predicted`` is the label of a completion parsed before the merge.
         """
         return self._query_lifecycle(
             lambda: self._record_from_response(
@@ -629,6 +634,7 @@ class MultiQueryEngine:
                 round_index,
                 self._primary_outcome(compressed, call_retries),
                 compressed=compressed,
+                predicted=predicted,
             ),
             node=node,
             round_index=round_index,

@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.boosting import BoostingResult, BoostingStepper
-from repro.llm.responses import parse_category_response
+from repro.llm.responses import UNPARSED, parse_category_response
 from repro.runtime.results import QueryRecord
 from repro.runtime.scheduler import WaveStats, _chunks, merge_item
 
@@ -318,6 +318,7 @@ class _PlannedQuery:
     outcome: tuple | None = None  # the worker's phase-1 (kind, payload, elapsed)
     label_known: bool = False
     label: int | None = None
+    predicted: int | None | object = UNPARSED  # an ``ok`` outcome's parsed label
     ready_at: float = 0.0
     dispatched_at: float = 0.0
     settled_at: float | None = None
@@ -623,14 +624,14 @@ class _PipelinedBoostRun:
         kind, payload, _elapsed = item.outcome
         if kind == "ok":
             response = payload[0]
-            predicted = parse_category_response(
+            item.predicted = parse_category_response(
                 response.text, self.engine.graph.class_names
             )
             confidence = getattr(response, "confidence", None)
             item.settled_at = self._now()
             item.label_known = True
-            if self.strategy._publishable_answer(predicted, confidence):
-                item.label = predicted
+            if self.strategy._publishable_answer(item.predicted, confidence):
+                item.label = item.predicted
             self._note_label(item)
         elif kind == "error" and item.can_defer:
             # The deferral is decided now (the canonical deferral count and
@@ -683,6 +684,7 @@ class _PipelinedBoostRun:
                         stepper.work_item(member.node, round_index),
                         member.outcome,
                         extra_span_attrs=self._readiness_attrs(member),
+                        predicted=member.predicted,
                     )
                     serial_seconds += seconds
                     if member.cached is not None:

@@ -71,6 +71,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.llm.reliability import TransientLLMError
+from repro.llm.responses import UNPARSED
 from repro.mqo.prefix_sharing import PrefixPlan, plan_prefix_batches
 from repro.runtime.results import QueryRecord
 
@@ -740,6 +741,7 @@ def merge_item(
     item: WorkItem,
     outcome: tuple | None,
     extra_span_attrs: dict | None = None,
+    predicted: int | None | object = UNPARSED,
 ) -> tuple[QueryRecord | None, float]:
     """Canonical-order merge of one thread-dispatched item.
 
@@ -750,7 +752,8 @@ def merge_item(
     :func:`execute_item` without duplicating any call; a failed call is
     deferred, degraded or raised exactly as the serial path would.
     Returns the record (``None`` when deferred) and the item's serial
-    seconds: its phase-1 call plus any crash re-execution.
+    seconds: its phase-1 call plus any crash re-execution.  ``predicted``
+    is an ``ok`` completion's label when the caller parsed it already.
     """
     if outcome is None:
         return execute_item(engine, item), 0.0
@@ -770,6 +773,7 @@ def merge_item(
             call_retries=call_retries,
             extra_span_attrs=extra_span_attrs,
             compressed=compressed,
+            predicted=predicted,
         )
     else:
         if engine.failure_mode(item.on_failure) == "raise":

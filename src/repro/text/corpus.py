@@ -12,6 +12,12 @@ Each node's text is a mixture of three word sources:
 
 Titles are short and denser in keywords than abstracts, matching how the
 paper's prompt templates use neighbor *titles* as cheap-but-informative cues.
+
+A text is built from the index arrays its random draws produce: the own,
+confuser and background draws index one flat word table, the index array
+is shuffled, and the words are looked up once.  This draws the same numbers
+in the same order as building and shuffling a per-slot word list, so every
+replica's texts stay byte for byte what they were.
 """
 
 from __future__ import annotations
@@ -74,16 +80,15 @@ class TextSynthesizer:
         self.abstract_words = abstract_words
         self.title_keyword_density = title_keyword_density
         self.abstract_keyword_density = abstract_keyword_density
-
-    def _keyword_pool(self, label: int, confuser: int, clarity: float, rng: np.random.Generator, n: int) -> list[str]:
-        """Draw ``n`` keyword-slot words: own-class w.p. ``clarity`` else confuser."""
-        vocab = self.vocabulary
-        own = vocab.class_words[label]
-        other = vocab.class_words[confuser]
-        own_mask = rng.random(n) < clarity
-        own_idx = rng.integers(len(own), size=n)
-        other_idx = rng.integers(len(other), size=n)
-        return [own[own_idx[i]] if own_mask[i] else other[other_idx[i]] for i in range(n)]
+        #: Every class's keywords, then the background words, in one table;
+        #: class ``k``'s keywords are ``_words[_class_starts[k]:_class_starts[k + 1]]``
+        #: and the background starts at ``_class_starts[-1]``.
+        self._words = np.array(
+            [w for words in vocabulary.class_words for w in words] + vocabulary.background_words,
+            dtype=object,
+        )
+        sizes = [len(words) for words in vocabulary.class_words]
+        self._class_starts = np.cumsum([0] + sizes).tolist()
 
     def _compose(
         self,
@@ -94,14 +99,19 @@ class TextSynthesizer:
         length: int,
         keyword_density: float,
     ) -> str:
+        """One text of ``length`` words: keyword slots (own class w.p.
+        ``clarity``, else ``confuser``) and background filler, shuffled."""
         n_keywords = max(1, int(round(length * keyword_density)))
         n_background = max(0, length - n_keywords)
-        words = self._keyword_pool(label, confuser, clarity, rng, n_keywords)
-        background = self.vocabulary.background_words
-        bg_idx = rng.integers(len(background), size=n_background)
-        words.extend(background[i] for i in bg_idx)
-        rng.shuffle(words)
-        return " ".join(words)
+        starts = self._class_starts
+        own_mask = rng.random(n_keywords) < clarity
+        own_idx = rng.integers(starts[label + 1] - starts[label], size=n_keywords)
+        other_idx = rng.integers(starts[confuser + 1] - starts[confuser], size=n_keywords)
+        bg_idx = rng.integers(len(self._words) - starts[-1], size=n_background)
+        keywords = np.where(own_mask, own_idx + starts[label], other_idx + starts[confuser])
+        slots = np.concatenate((keywords, bg_idx + starts[-1]))
+        rng.shuffle(slots)
+        return " ".join(self._words[slots].tolist())
 
     def synthesize(
         self,

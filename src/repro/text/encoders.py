@@ -1,33 +1,152 @@
-"""Text-to-feature encoders (BoW, TF-IDF, feature hashing).
+"""Text-to-feature encoders (BoW, TF-IDF, LSA, feature hashing).
 
 These replace the shallow encoders the paper's datasets ship with (Cora's
 1433-dim bag-of-words, Pubmed's TF-IDF, OGB's fixed-width embeddings).  Every
-encoder maps a list of documents to a dense ``(n_docs, dim)`` float32 matrix,
-which feeds both the surrogate MLP classifier of the token-pruning strategy
-and the similarity ranking of the SNS neighbor selector.
+encoder maps documents to a dense ``(n_docs, dim)`` float32 matrix, which
+feeds both the surrogate MLP classifier of the token-pruning strategy and the
+similarity ranking of the SNS neighbor selector.
+
+The fitted encoders (BoW, TF-IDF, LSA) tokenize each document exactly once.
+:class:`_WordIds` maps every word to a provisional integer id (first-seen
+order) and keeps only the ids, in one compact ``array`` per
+:data:`_CHUNK_DOCS` documents: two bytes a word while the corpus has at most
+65,536 distinct words.  Word lists would cost a pointer a word plus the
+list, and doubled pubmed's peak RSS.  The vocabulary ranking is a bincount
+over those ids; ``fit``, ``transform`` and ``fit_transform`` then map ids to
+feature columns with one lookup array and count each chunk's rows with one
+bincount, dropping the chunk once its rows are written.  Since each document
+is read once, the documents may be any iterable: the replica generator
+streams its node texts in, so the corpus's strings never all exist at once.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import defaultdict, deque
 from itertools import repeat
+from typing import Iterable
 
 import numpy as np
 
-from repro.text.tokenizer import Tokenizer
+from repro.text.tokenizer import words
+
+#: Documents per chunk of word ids.  A chunk's rows are counted with one
+#: bincount into a ``(_CHUNK_DOCS, dim + 1)`` int64 buffer: 0.7 MiB at
+#: cora's 1,433 columns.  256-document chunks made that buffer 2.8 MiB and
+#: raised boost-cora-durable's peak RSS by 7 MB (10%).
+_CHUNK_DOCS = 64
+
+#: Provisional ids below this fit the two-byte ``array`` typecode ``"H"``;
+#: a chunk that would pass it is widened to four-byte ``"i"``.
+_SHORT_IDS = 1 << 16
 
 
-def _vocabulary_counts(tokenizer: Tokenizer, vocabulary: dict[str, int], doc: str, dim: int):
-    """``doc``'s vocabulary-word counts as a length-``dim`` row of integers.
+class _WordIds:
+    """One corpus, split into words once and held as provisional word ids.
 
-    Counts below 2**24 are exact in float32, so the row equals one ``+= 1.0``
-    per word.  Unknown words count in a spare column ``dim``.  The ids go in
-    an ``array``: NumPy caches freed blocks under 1 KiB, and one index array
-    per row fragmented the heap (+15 MB peak RSS on boost-cora-durable).
+    ``words[i]`` is the word with provisional id ``i``, in first-seen order.
+    ``chunks`` holds one ``(lengths, ids)`` pair per :data:`_CHUNK_DOCS`
+    documents: each document's word count, and the ids of those words in
+    order.  :func:`_chunk_counts` consumes the chunks.
     """
-    cols = array("q", map(vocabulary.get, tokenizer.words(doc), repeat(dim)))
-    return np.bincount(np.frombuffer(cols, dtype=np.int64), minlength=dim + 1)[:dim]
+
+    def __init__(self, documents: Iterable[str]):
+        word_ids: defaultdict[str, int] = defaultdict()
+        word_ids.default_factory = word_ids.__len__
+        id_of = word_ids.__getitem__
+        self.n_docs = 0
+        self.chunks: deque[tuple[array, array]] = deque()
+        for doc in documents:
+            if self.n_docs % _CHUNK_DOCS == 0:
+                lengths, ids = array("i"), array("H")
+                self.chunks.append((lengths, ids))
+            doc_words = words(doc)
+            if ids.typecode == "H" and len(word_ids) + len(doc_words) > _SHORT_IDS:
+                ids = array("i", ids)
+                self.chunks[-1] = (lengths, ids)
+            lengths.append(len(doc_words))
+            ids.extend(map(id_of, doc_words))
+            self.n_docs += 1
+        self.words = list(word_ids)
+
+    def totals(self) -> np.ndarray:
+        """Occurrences of each provisional id across the corpus."""
+        totals = np.zeros(len(self.words), dtype=np.int64)
+        for _, ids in self.chunks:
+            totals += np.bincount(np.frombuffer(ids, dtype=ids.typecode), minlength=len(totals))
+        return totals
+
+    def doc_freq(self) -> np.ndarray:
+        """Number of documents each provisional id occurs in."""
+        n = len(self.words)
+        doc_freq = np.zeros(n, dtype=np.int64)
+        for lengths, ids in self.chunks:
+            cells = _doc_rows(lengths) * n + np.frombuffer(ids, dtype=ids.typecode)
+            doc_freq += np.bincount(np.unique(cells) % n, minlength=n)
+        return doc_freq
+
+    def columns(self, vocabulary: dict[str, int], spare: int) -> np.ndarray:
+        """Feature column of each provisional id; ``spare`` for unknown words."""
+        return np.fromiter(
+            map(vocabulary.get, self.words, repeat(spare)), dtype=np.intp, count=len(self.words)
+        )
+
+
+def _doc_rows(lengths: array) -> np.ndarray:
+    """Chunk-local document index of every word of a chunk."""
+    return np.repeat(np.arange(len(lengths)), np.frombuffer(lengths, dtype=np.int32))
+
+
+def _fit_vocabulary(
+    corpus: _WordIds, size: int, eligible: np.ndarray | None = None
+) -> tuple[list[int], dict[str, int]]:
+    """The ``size`` most frequent words of ``corpus`` as its vocabulary.
+
+    Words rank by ``(-frequency, word)`` for a deterministic vocabulary;
+    only ids where ``eligible`` is true take part when it is given.  Returns
+    the ranked provisional ids and the ``word -> column`` vocabulary.
+    """
+    totals = corpus.totals().tolist()
+    candidates = range(len(totals)) if eligible is None else np.flatnonzero(eligible).tolist()
+    words_ = corpus.words
+    ranked = sorted(candidates, key=lambda i: (-totals[i], words_[i]))[:size]
+    return ranked, {words_[i]: col for col, i in enumerate(ranked)}
+
+
+def _chunk_words(corpus: _WordIds, cols: np.ndarray):
+    """Yield ``(start, n, rows, columns)`` per chunk, consuming ``corpus.chunks``.
+
+    ``rows`` and ``columns`` give each word's chunk-local document and its
+    feature column under the lookup ``cols``.  Each chunk is dropped once
+    read, so the ids held shrink as rows are written.
+    """
+    start = 0
+    while corpus.chunks:
+        lengths, ids = corpus.chunks.popleft()
+        n = len(lengths)
+        yield start, n, _doc_rows(lengths), cols[np.frombuffer(ids, dtype=ids.typecode)]
+        start += n
+
+
+def _chunk_counts(corpus: _WordIds, cols: np.ndarray, dim: int):
+    """Yield ``(start, counts)`` per chunk: its ``(n, dim)`` int64 matrix of
+    vocabulary-word counts.  Words in column ``dim`` are not counted."""
+    for start, n, rows, columns in _chunk_words(corpus, cols):
+        counts = np.bincount(rows * (dim + 1) + columns, minlength=n * (dim + 1))
+        yield start, counts.reshape(n, dim + 1)[:, :dim]
+
+
+def _idf(doc_freq: list[int], n_docs: int, size: int, dtype) -> np.ndarray:
+    """Smoothed idf, ``log((1 + n) / (1 + df)) + 1``, of each vocabulary column.
+
+    Computed one scalar at a time, as the vocabulary's words were; columns
+    past ``len(doc_freq)`` stay zero.
+    """
+    idf = np.zeros(size, dtype=dtype)
+    n_docs = max(1, n_docs)
+    for i, df in enumerate(doc_freq):
+        idf[i] = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
+    return idf
 
 
 #: Rows squared per block by :func:`_normalize_rows`.
@@ -70,31 +189,34 @@ class BagOfWordsEncoder:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self.binary = binary
-        self.tokenizer = Tokenizer()
         self.vocabulary_: dict[str, int] | None = None
 
-    def fit(self, documents: list[str]) -> "BagOfWordsEncoder":
+    def _fit(self, corpus: _WordIds) -> np.ndarray:
+        """Learn the vocabulary; return ``corpus``'s id -> column lookup."""
+        _, self.vocabulary_ = _fit_vocabulary(corpus, self.dim)
+        return corpus.columns(self.vocabulary_, self.dim)
+
+    def _encode(self, corpus: _WordIds, cols: np.ndarray) -> np.ndarray:
+        out = np.zeros((corpus.n_docs, self.dim), dtype=np.float32)
+        for start, counts in _chunk_counts(corpus, cols, self.dim):
+            out[start : start + len(counts)] = counts > 0 if self.binary else counts
+        return out
+
+    def fit(self, documents: Iterable[str]) -> "BagOfWordsEncoder":
         """Learn the truncated vocabulary from ``documents``."""
-        counts: Counter[str] = Counter()
-        for doc in documents:
-            counts.update(self.tokenizer.words(doc))
-        # Sort by (-frequency, word) for a deterministic vocabulary.
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: self.dim]
-        self.vocabulary_ = {word: i for i, (word, _) in enumerate(ranked)}
+        self._fit(_WordIds(documents))
         return self
 
-    def transform(self, documents: list[str]) -> np.ndarray:
+    def transform(self, documents: Iterable[str]) -> np.ndarray:
         """Encode ``documents`` into a ``(n, dim)`` float32 matrix."""
         if self.vocabulary_ is None:
             raise RuntimeError("encoder is not fitted; call fit() first")
-        out = np.zeros((len(documents), self.dim), dtype=np.float32)
-        for row, doc in enumerate(documents):
-            counts = _vocabulary_counts(self.tokenizer, self.vocabulary_, doc, self.dim)
-            out[row] = counts > 0 if self.binary else counts
-        return out
+        corpus = _WordIds(documents)
+        return self._encode(corpus, corpus.columns(self.vocabulary_, self.dim))
 
-    def fit_transform(self, documents: list[str]) -> np.ndarray:
-        return self.fit(documents).transform(documents)
+    def fit_transform(self, documents: Iterable[str]) -> np.ndarray:
+        corpus = _WordIds(documents)
+        return self._encode(corpus, self._fit(corpus))
 
 
 class TfidfEncoder:
@@ -104,38 +226,53 @@ class TfidfEncoder:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self.tokenizer = Tokenizer()
         self.vocabulary_: dict[str, int] | None = None
         self.idf_: np.ndarray | None = None
 
-    def fit(self, documents: list[str]) -> "TfidfEncoder":
-        counts: Counter[str] = Counter()
-        doc_freq: Counter[str] = Counter()
-        for doc in documents:
-            words = self.tokenizer.words(doc)
-            counts.update(words)
-            doc_freq.update(set(words))
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: self.dim]
-        self.vocabulary_ = {word: i for i, (word, _) in enumerate(ranked)}
-        n_docs = max(1, len(documents))
-        idf = np.zeros(self.dim, dtype=np.float32)
-        for word, i in self.vocabulary_.items():
-            idf[i] = np.log((1.0 + n_docs) / (1.0 + doc_freq[word])) + 1.0
-        self.idf_ = idf
-        return self
+    def _fit(self, corpus: _WordIds) -> np.ndarray:
+        """Learn the vocabulary; return ``corpus``'s id -> column lookup."""
+        _, self.vocabulary_ = _fit_vocabulary(corpus, self.dim)
+        return corpus.columns(self.vocabulary_, self.dim)
 
-    def transform(self, documents: list[str]) -> np.ndarray:
-        if self.vocabulary_ is None or self.idf_ is None:
-            raise RuntimeError("encoder is not fitted; call fit() first")
-        out = np.zeros((len(documents), self.dim), dtype=np.float32)
-        for row, doc in enumerate(documents):
-            out[row] = _vocabulary_counts(self.tokenizer, self.vocabulary_, doc, self.dim)
+    def _counts(self, corpus: _WordIds, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Raw vocabulary-word counts of ``corpus`` and each column's document
+        frequency, taken from the rows as they are written."""
+        out = np.zeros((corpus.n_docs, self.dim), dtype=np.float32)
+        doc_freq = np.zeros(self.dim, dtype=np.int64)
+        for start, counts in _chunk_counts(corpus, cols, self.dim):
+            out[start : start + len(counts)] = counts
+            doc_freq += np.count_nonzero(counts, axis=0)
+        return out, doc_freq
+
+    def _weigh(self, out: np.ndarray) -> np.ndarray:
         out *= self.idf_[None, :]
         _normalize_rows(out)
         return out
 
-    def fit_transform(self, documents: list[str]) -> np.ndarray:
-        return self.fit(documents).transform(documents)
+    def _learn_idf(self, n_docs: int, doc_freq: np.ndarray) -> None:
+        self.idf_ = _idf(doc_freq[: len(self.vocabulary_)].tolist(), n_docs, self.dim, np.float32)
+
+    def fit(self, documents: Iterable[str]) -> "TfidfEncoder":
+        corpus = _WordIds(documents)
+        cols = self._fit(corpus)
+        doc_freq = np.zeros(self.dim, dtype=np.int64)
+        for _, counts in _chunk_counts(corpus, cols, self.dim):
+            doc_freq += np.count_nonzero(counts, axis=0)
+        self._learn_idf(corpus.n_docs, doc_freq)
+        return self
+
+    def transform(self, documents: Iterable[str]) -> np.ndarray:
+        if self.vocabulary_ is None or self.idf_ is None:
+            raise RuntimeError("encoder is not fitted; call fit() first")
+        corpus = _WordIds(documents)
+        out, _ = self._counts(corpus, corpus.columns(self.vocabulary_, self.dim))
+        return self._weigh(out)
+
+    def fit_transform(self, documents: Iterable[str]) -> np.ndarray:
+        corpus = _WordIds(documents)
+        out, doc_freq = self._counts(corpus, self._fit(corpus))
+        self._learn_idf(corpus.n_docs, doc_freq)
+        return self._weigh(out)
 
 
 class LSAEncoder:
@@ -170,48 +307,40 @@ class LSAEncoder:
         self.dim = dim
         self.min_df = min_df
         self.max_vocab = max_vocab
-        self.tokenizer = Tokenizer()
         self.vocabulary_: dict[str, int] | None = None
         self.idf_: np.ndarray | None = None
         self.components_: np.ndarray | None = None
 
-    def _tfidf_sparse(self, documents: list[str], fitting: bool):
+    def _tfidf_sparse(self, documents: Iterable[str], fitting: bool):
         import scipy.sparse as sp
 
+        corpus = _WordIds(documents)
         if fitting:
-            counts: Counter[str] = Counter()
-            doc_freq: Counter[str] = Counter()
-            for doc in documents:
-                words = self.tokenizer.words(doc)
-                counts.update(words)
-                doc_freq.update(set(words))
-            ranked = sorted(
-                (kv for kv in counts.items() if doc_freq[kv[0]] >= self.min_df),
-                key=lambda kv: (-kv[1], kv[0]),
-            )[: self.max_vocab]
-            self.vocabulary_ = {word: i for i, (word, _) in enumerate(ranked)}
-            n_docs = max(1, len(documents))
-            idf = np.zeros(len(self.vocabulary_), dtype=np.float64)
-            for word, i in self.vocabulary_.items():
-                idf[i] = np.log((1.0 + n_docs) / (1.0 + doc_freq[word])) + 1.0
-            self.idf_ = idf
-        rows, cols, vals = [], [], []
-        for r, doc in enumerate(documents):
-            local: Counter[str] = Counter(self.tokenizer.words(doc))
-            for word, count in local.items():
-                c = self.vocabulary_.get(word)
-                if c is not None:
-                    rows.append(r)
-                    cols.append(c)
-                    vals.append(float(count) * self.idf_[c])
+            doc_freq = corpus.doc_freq()
+            ranked, self.vocabulary_ = _fit_vocabulary(
+                corpus, self.max_vocab, eligible=doc_freq >= self.min_df
+            )
+            self.idf_ = _idf(doc_freq[ranked].tolist(), corpus.n_docs, len(ranked), np.float64)
+        width = len(self.vocabulary_)
+        cols = corpus.columns(self.vocabulary_, width)
+        rows, columns, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+        # One entry per (document, vocabulary word), in row-major order: the
+        # order the CSR conversion sorts entries into anyway.
+        for start, _, doc_rows, doc_cols in _chunk_words(corpus, cols):
+            known = doc_cols < width
+            cells, counts = np.unique(doc_rows[known] * width + doc_cols[known], return_counts=True)
+            rows.append(start + cells // max(width, 1))
+            columns.append(cells % max(width, 1))
+            vals.append(counts * self.idf_[columns[-1]])
         matrix = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(len(documents), len(self.vocabulary_))
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(columns))),
+            shape=(corpus.n_docs, width),
         )
         norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1))).ravel()
         norms[norms == 0] = 1.0
         return sp.diags(1.0 / norms) @ matrix
 
-    def fit_transform(self, documents: list[str]) -> np.ndarray:
+    def fit_transform(self, documents: Iterable[str]) -> np.ndarray:
         matrix = self._tfidf_sparse(documents, fitting=True)
         if not self.vocabulary_:
             raise ValueError(
@@ -238,11 +367,11 @@ class LSAEncoder:
             out = np.pad(out, ((0, 0), (0, self.dim - out.shape[1])))
         return out
 
-    def fit(self, documents: list[str]) -> "LSAEncoder":
+    def fit(self, documents: Iterable[str]) -> "LSAEncoder":
         self.fit_transform(documents)
         return self
 
-    def transform(self, documents: list[str]) -> np.ndarray:
+    def transform(self, documents: Iterable[str]) -> np.ndarray:
         if self.components_ is None:
             raise RuntimeError("encoder is not fitted; call fit() first")
         matrix = self._tfidf_sparse(documents, fitting=False)
@@ -264,7 +393,6 @@ class HashingEncoder:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self.seed = seed
-        self.tokenizer = Tokenizer()
 
     def _bucket(self, word: str) -> tuple[int, float]:
         from repro.utils.rng import stable_hash
@@ -272,18 +400,19 @@ class HashingEncoder:
         h = stable_hash(self.seed, word)
         return h % self.dim, 1.0 if (h >> 32) & 1 else -1.0
 
-    def transform(self, documents: list[str]) -> np.ndarray:
+    def transform(self, documents: Iterable[str]) -> np.ndarray:
+        documents = list(documents)
         out = np.zeros((len(documents), self.dim), dtype=np.float32)
         for row, doc in enumerate(documents):
-            for word in self.tokenizer.words(doc):
+            for word in words(doc):
                 col, sign = self._bucket(word)
                 out[row, col] += sign
         _normalize_rows(out)
         return out
 
-    def fit(self, documents: list[str]) -> "HashingEncoder":
+    def fit(self, documents: Iterable[str]) -> "HashingEncoder":
         """No-op, for API parity with the fitted encoders."""
         return self
 
-    def fit_transform(self, documents: list[str]) -> np.ndarray:
+    def fit_transform(self, documents: Iterable[str]) -> np.ndarray:
         return self.transform(documents)

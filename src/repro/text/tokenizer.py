@@ -16,11 +16,11 @@ construction.
 
 :meth:`Tokenizer.count` is memoised per instance: a bounded map from text to
 count that lives exactly as long as the tokenizer (one LLM, engine or
-compressor, so one run).  :func:`tokenize` reads no state, so callers that
-only split text (the prefix planner) call it without building a tokenizer;
-:meth:`Tokenizer.tokenize` delegates to it.  Neither it nor
-:meth:`Tokenizer.words` is memoised: they return fresh lists the caller
-owns.
+compressor, so one run).  :func:`tokenize` and :func:`words` read no state,
+so callers that only split text (the prefix planner, the feature encoders)
+call them without building a tokenizer; :meth:`Tokenizer.tokenize` and
+:meth:`Tokenizer.words` delegate to them.  None of them is memoised: they
+return fresh lists the caller owns.
 """
 
 from __future__ import annotations
@@ -52,6 +52,11 @@ def tokenize(text: str) -> list[str]:
     return _TOKENS_RE.findall(text.lower())
 
 
+def words(text: str) -> list[str]:
+    """Split ``text`` into whole lower-cased alphanumeric words."""
+    return _WORDS_RE.findall(text.lower())
+
+
 class Tokenizer:
     """Lower-casing word/sub-word tokenizer with deterministic output.
 
@@ -73,9 +78,10 @@ class Tokenizer:
         """Split ``text`` into whole alphanumeric words (no sub-word pieces).
 
         Used by the simulated LLM for vocabulary matching, where splitting a
-        keyword into pieces would destroy the match.
+        keyword into pieces would destroy the match.  Delegates to
+        :func:`words`.
         """
-        return _WORDS_RE.findall(text.lower())
+        return words(text)
 
     def count(self, text: str) -> int:
         """Number of tokens in ``text`` (memoised per instance)."""

@@ -10,7 +10,9 @@ saturated/non-saturated distinction rests on.
 
 Words are synthesized from syllables so corpora of any size can be built
 offline while remaining pronounceable and, importantly, collision-free across
-vocabularies (each word belongs to exactly one vocabulary).
+vocabularies (each word belongs to exactly one vocabulary).  A word's
+syllable count is one draw and its onset/nucleus/coda parts one broadcast
+draw, equal number for number to drawing each part on its own.
 """
 
 from __future__ import annotations
@@ -48,20 +50,21 @@ class WordFactory:
         self._seen: set[str] = set()
         self.min_syllables = min_syllables
         self.max_syllables = max_syllables
-
-    def _syllable(self) -> str:
-        rng = self._rng
-        return (
-            _ONSETS[rng.integers(len(_ONSETS))]
-            + _NUCLEI[rng.integers(len(_NUCLEI))]
-            + _CODAS[rng.integers(len(_CODAS))]
-        )
+        #: Exclusive bounds of an ``n``-syllable word's ``3 * n`` part
+        #: draws (onset, nucleus, coda per syllable), keyed by ``n``.
+        self._part_bounds = {
+            n: np.tile([len(_ONSETS), len(_NUCLEI), len(_CODAS)], n)
+            for n in range(min_syllables, max_syllables + 1)
+        }
+        self._part_lists = (_ONSETS, _NUCLEI, _CODAS) * max_syllables
 
     def make_word(self) -> str:
         """Return a new word not produced by this factory before."""
+        rng = self._rng
         for _ in range(1000):
-            n = int(self._rng.integers(self.min_syllables, self.max_syllables + 1))
-            word = "".join(self._syllable() for _ in range(n))
+            n = int(rng.integers(self.min_syllables, self.max_syllables + 1))
+            parts = rng.integers(self._part_bounds[n]).tolist()
+            word = "".join(map(list.__getitem__, self._part_lists, parts))
             if word not in self._seen:
                 self._seen.add(word)
                 return word
@@ -107,10 +110,6 @@ class ClassVocabulary:
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
-
-    def class_of_word(self, word: str) -> int | None:
-        """Class index owning ``word``, or ``None`` for background/unknown."""
-        return self._word_class.get(word)
 
     def evidence(self, words: list[str]) -> np.ndarray:
         """Count class-keyword occurrences in ``words``.

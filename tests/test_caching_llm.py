@@ -69,20 +69,6 @@ class TestCachingLLM:
         assert cached.misses == 2 and cached.hits == 0
         assert cached.stats()["entries"] == 1
 
-    def test_reset_stats(self, setup):
-        _, cached, prompt = setup
-        cached.complete(prompt)
-        cached.complete(prompt)
-        cached.reset_stats()
-        assert cached.stats() == {
-            "hits": 0,
-            "misses": 0,
-            "hit_rate": 0.0,
-            "evictions": 0,
-            "coalesced": 0,
-            "entries": 1,
-        }
-
     def test_stats_dict(self, setup):
         inner, _, _ = setup
         cached = CachingLLM(inner, max_entries=2)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.text.corpus import TextSynthesizer
 from repro.text.tokenizer import Tokenizer
@@ -79,3 +81,60 @@ class TestSynthesize:
     def test_invalid_density(self, vocab):
         with pytest.raises(ValueError):
             TextSynthesizer(vocab, title_keyword_density=0.0)
+
+
+# ---------------------------------------------------------------- oracle
+#
+# The synthesizer's earlier per-slot text building, kept verbatim as the
+# reference the index-array ``_compose`` must match: the same text and the
+# same random numbers drawn.
+
+
+def reference_keyword_pool(vocab, label, confuser, clarity, rng, n):
+    own = vocab.class_words[label]
+    other = vocab.class_words[confuser]
+    own_mask = rng.random(n) < clarity
+    own_idx = rng.integers(len(own), size=n)
+    other_idx = rng.integers(len(other), size=n)
+    return [own[own_idx[i]] if own_mask[i] else other[other_idx[i]] for i in range(n)]
+
+
+def reference_compose(vocab, label, confuser, clarity, rng, length, keyword_density):
+    n_keywords = max(1, int(round(length * keyword_density)))
+    n_background = max(0, length - n_keywords)
+    words = reference_keyword_pool(vocab, label, confuser, clarity, rng, n_keywords)
+    background = vocab.background_words
+    bg_idx = rng.integers(len(background), size=n_background)
+    words.extend(background[i] for i in bg_idx)
+    rng.shuffle(words)
+    return " ".join(words)
+
+
+@st.composite
+def compose_cases(draw):
+    """A vocabulary with classes of unequal sizes, and one text to build."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    vocab = ClassVocabulary(
+        class_names=[f"C{k}" for k in range(len(sizes))],
+        class_words=[[f"c{k}w{i}" for i in range(size)] for k, size in enumerate(sizes)],
+        background_words=[f"bg{i}" for i in range(draw(st.integers(1, 6)))],
+    )
+    label = draw(st.integers(0, len(sizes) - 1))
+    confuser = draw(st.integers(0, len(sizes) - 1))
+    clarity = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    length = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([1.0]) | st.floats(0.01, 1.0))
+    return vocab, label, confuser, clarity, length, density
+
+
+class TestComposeOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(compose_cases(), st.integers(0, 2**32 - 1))
+    def test_matches_per_slot_reference(self, case, seed):
+        vocab, label, confuser, clarity, length, density = case
+        fresh, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        synth = TextSynthesizer(vocab)
+        for _ in range(3):
+            text = synth._compose(label, confuser, clarity, fresh, length, density)
+            assert text == reference_compose(vocab, label, confuser, clarity, reference, length, density)
+            assert fresh.bit_generator.state == reference.bit_generator.state

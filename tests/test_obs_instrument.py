@@ -64,13 +64,13 @@ class TestNonPerturbation:
 
 class TestDeterminism:
     def test_same_seed_runs_emit_identical_jsonl_modulo_run_id(
-        self, make_tiny_engine, queries
+        self, make_tiny_engine, queries, tmp_path
     ):
         jsonl = {}
         for run_id in ("run-aaa", "run-bbb"):
             instr = make_instr(run_id)
             QueryBoostingStrategy().execute(make_tiny_engine(observer=instr), queries)
-            jsonl[run_id] = instr.tracer.to_jsonl()
+            jsonl[run_id] = instr.write_trace(tmp_path / f"{run_id}.jsonl").read_text()
         assert jsonl["run-aaa"].replace("run-aaa", "run-bbb") == jsonl["run-bbb"]
 
     def test_emitted_trace_validates_against_schema(self, make_tiny_engine, queries):

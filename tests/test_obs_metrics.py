@@ -32,7 +32,7 @@ class TestInstruments:
         g = Gauge()
         g.set(4)
         g.inc()
-        g.dec(2)
+        g.inc(-2)
         assert g.value == 3.0
 
     def test_histogram_buckets(self):

@@ -84,9 +84,10 @@ class TestSpanTracer:
         assert header["num_spans"] == 3
         assert header["labels"] == {"dataset": "tiny"}
 
-    def test_same_script_is_byte_identical_modulo_run_id(self):
-        a, b = make_trace("aaa"), make_trace("bbb")
-        assert a.to_jsonl().replace("aaa", "bbb") == b.to_jsonl()
+    def test_same_script_is_byte_identical_modulo_run_id(self, tmp_path):
+        a = make_trace("aaa").write_jsonl(tmp_path / "a.jsonl").read_text()
+        b = make_trace("bbb").write_jsonl(tmp_path / "b.jsonl").read_text()
+        assert a.replace("aaa", "bbb") == b
 
 
 class TestTraceSchema:

@@ -160,3 +160,28 @@ def test_a_worker_error_propagates_and_stops_every_thread(
     assert len(raised) == 1 and isinstance(raised[0], KeyError), raised
     assert llm.calls >= 7
     assert threading.active_count() == threads_before
+
+
+def test_each_answer_is_parsed_once(tiny_tag, tiny_split, tiny_builder):
+    """The label parsed when an answer settles is the one its record keeps."""
+    from repro.runtime import engine as engine_module
+    from repro.runtime import readiness
+
+    scheduler = QueryScheduler(
+        max_batch_size=4, max_concurrency=2, mode="threads", dispatch="dag"
+    )
+    engine = _engine_on(
+        tiny_tag, tiny_split, tiny_builder,
+        SimulatedLLM(tiny_tag.vocabulary, name="gpt-3.5", seed=5), KHopRandomSelector(1),
+        scheduler,
+    )
+    with mock.patch.object(
+        readiness, "parse_category_response", wraps=readiness.parse_category_response
+    ) as at_settle, mock.patch.object(
+        engine_module, "parse_category_response", wraps=engine_module.parse_category_response
+    ) as at_merge:
+        result = QueryBoostingStrategy(gamma1=1).execute(engine, np.asarray(tiny_split.queries))
+    records = result.run.records
+    assert len(records) == len(tiny_split.queries)
+    assert at_settle.call_count + at_merge.call_count == len(records)
+    assert at_settle.call_count > 0

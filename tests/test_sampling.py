@@ -196,13 +196,6 @@ class TestPartitionGraph:
         for node in range(0, cora.num_nodes, 37):
             assert partition.part_of(node) == int(partition.assignment[node])
 
-    def test_crosses(self, path_graph):
-        partition = partition_graph(path_graph, 2)
-        u, v = path_graph.edge_array().T
-        for uu, vv in zip(u.tolist(), v.tolist()):
-            expected = partition.part_of(uu) != partition.part_of(vv)
-            assert partition.crosses(uu, vv) == expected
-
     def test_invalid_num_parts(self, path_graph):
         with pytest.raises(ValueError):
             partition_graph(path_graph, 0)

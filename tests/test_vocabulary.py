@@ -4,8 +4,34 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.text.vocabulary import ClassVocabulary, WordFactory
+from repro.text.vocabulary import _CODAS, _NUCLEI, _ONSETS, ClassVocabulary, WordFactory
+
+
+# The factory's earlier one-syllable-at-a-time word making, kept verbatim as
+# the reference the one-draw ``make_word`` must match: the same words and
+# the same random numbers drawn.
+
+
+def reference_syllable(rng):
+    return (
+        _ONSETS[rng.integers(len(_ONSETS))]
+        + _NUCLEI[rng.integers(len(_NUCLEI))]
+        + _CODAS[rng.integers(len(_CODAS))]
+    )
+
+
+def reference_make_word(factory):
+    rng = factory._rng
+    for _ in range(1000):
+        n = int(rng.integers(factory.min_syllables, factory.max_syllables + 1))
+        word = "".join(reference_syllable(rng) for _ in range(n))
+        if word not in factory._seen:
+            factory._seen.add(word)
+            return word
+    raise RuntimeError("word factory exhausted; increase syllable range")
 
 
 class TestWordFactory:
@@ -27,6 +53,21 @@ class TestWordFactory:
         with pytest.raises(ValueError):
             WordFactory(seed=0, min_syllables=3, max_syllables=2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**62),
+        st.integers(1, 5).flatmap(lambda low: st.tuples(st.just(low), st.integers(low, 6))),
+        st.integers(1, 150),
+    )
+    def test_make_word_matches_per_syllable_reference(self, seed, syllables, count):
+        """One-syllable words collide often, so the retry path runs too."""
+        low, high = syllables
+        fresh = WordFactory(seed, min_syllables=low, max_syllables=high)
+        reference = WordFactory(seed, min_syllables=low, max_syllables=high)
+        for _ in range(count):
+            assert fresh.make_word() == reference_make_word(reference)
+        assert fresh._rng.bit_generator.state == reference._rng.bit_generator.state
+
 
 class TestClassVocabulary:
     def test_build_shapes(self):
@@ -36,13 +77,14 @@ class TestClassVocabulary:
         assert len(vocab.background_words) == 20
 
     def test_class_of_word(self):
+        """Each keyword is evidence for its own class only; background and
+        unknown words for none."""
         vocab = ClassVocabulary.build(["A", "B"], seed=0, words_per_class=5, background_size=5)
         for k, words in enumerate(vocab.class_words):
             for w in words:
-                assert vocab.class_of_word(w) == k
-        for w in vocab.background_words:
-            assert vocab.class_of_word(w) is None
-        assert vocab.class_of_word("notaword") is None
+                assert vocab.evidence([w]).tolist() == [float(k == 0), float(k == 1)]
+        for w in [*vocab.background_words, "notaword"]:
+            assert not vocab.evidence([w]).any()
 
     def test_evidence_counts(self):
         vocab = ClassVocabulary.build(["A", "B"], seed=0, words_per_class=5, background_size=5)
