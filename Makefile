@@ -4,7 +4,7 @@
 # it `pytest | tee` reports tee's exit status and swallows test failures.
 SHELL := /bin/bash
 
-.PHONY: install test test-parallel test-equivalence test-differential test-mqo coverage bench bench-check bench-tables report examples trace-smoke chaos-smoke analyze-smoke cluster-smoke perfbench-smoke paper-smoke paper perfbench-ab clean
+.PHONY: install test test-parallel test-equivalence test-differential test-mqo test-replicas coverage bench bench-check bench-tables report examples trace-smoke chaos-smoke analyze-smoke cluster-smoke perfbench-smoke paper-smoke paper perfbench-ab clean
 
 # Line-coverage floor enforced by `make coverage` (and CI).
 COVERAGE_FLOOR := 80
@@ -61,6 +61,14 @@ test-mqo:
 	pytest tests/test_mqo_properties.py tests/test_mqo_tier.py \
 		tests/test_prefix_sharing.py tests/test_golden_mqo_accounting.py \
 		tests/test_tokenizer.py::TestCountMemo tests/test_text_memo.py
+
+# The replica build, bit for bit: the encoders against their two-pass
+# oracles and the recorded replica digests, LSA, text synthesis and word
+# making against their per-slot references, the generator, and the word-id
+# path against the string path.
+test-replicas:
+	pytest tests/test_encoders.py tests/test_lsa_encoder.py tests/test_corpus.py \
+		tests/test_vocabulary.py tests/test_generators.py tests/test_replica_word_ids.py
 
 test-output:
 	set -o pipefail; pytest tests/ 2>&1 | tee test_output.txt

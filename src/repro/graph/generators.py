@@ -10,6 +10,11 @@ gets a Pareto "attractiveness" weight (heavy-tailed degrees, like citation
 and co-purchase graphs), and each edge endpoint is completed with a
 same-class partner with probability ``homophily`` and a uniform-class partner
 otherwise.
+
+Node texts are drawn as indices into the synthesizer's word table, extended
+by the rare terms that linked nodes share.  Those indices are also the
+encoder's word ids (:class:`repro.text.encoders.WordIdCorpus`): the features
+are counted from them, and no text is split into words during a build.
 """
 
 from __future__ import annotations
@@ -19,9 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.tag import TextAttributedGraph
-from repro.text.corpus import TextSynthesizer
-from repro.text.encoders import BagOfWordsEncoder, HashingEncoder, LSAEncoder, TfidfEncoder
-from repro.text.vocabulary import ClassVocabulary
+from repro.text.corpus import NodeText, TextSynthesizer, join_words
+from repro.text.encoders import (
+    BagOfWordsEncoder,
+    HashingEncoder,
+    LSAEncoder,
+    TfidfEncoder,
+    WordIdCorpus,
+)
+from repro.text.vocabulary import ClassVocabulary, WordFactory
 from repro.utils.rng import spawn_rng
 from repro.utils.validation import check_fraction, check_positive
 
@@ -46,7 +57,7 @@ class GeneratorConfig:
         ``(low, high)`` clarity ranges for the two regimes.
     title_clarity_shift:
         Added to the clarity of *titles* only (see
-        :meth:`repro.text.corpus.TextSynthesizer.synthesize`); negative in
+        :meth:`repro.text.corpus.TextSynthesizer.draw`); negative in
         domains whose titles index poorly onto classes (Pubmed, Ogbn-Arxiv).
     sibling_confusion:
         Probability that a node's confuser class is its label's fixed
@@ -70,7 +81,10 @@ class GeneratorConfig:
     feature_dim:
         Dimensionality of the encoded features.
     encoder:
-        ``"bow"``, ``"tfidf"`` or ``"hashing"``.
+        ``"bow"`` (binary bag of words, Cora/Citeseer), ``"tfidf"``
+        (Pubmed), ``"lsa"`` (TF-IDF projected by truncated SVD, the stand-in
+        for the OGB embeddings of Ogbn-Arxiv and Ogbn-Products) or
+        ``"hashing"`` (signed feature hashing).
     title_words, abstract_words:
         Mean text lengths handed to :class:`TextSynthesizer`.
     degree_tail:
@@ -103,6 +117,8 @@ class GeneratorConfig:
             raise ValueError("need at least two classes")
         check_positive("num_nodes", self.num_nodes)
         check_positive("num_edges", self.num_edges)
+        if self.num_nodes < len(self.class_names):
+            raise ValueError("num_nodes must be at least the number of classes")
         check_fraction("homophily", self.homophily)
         check_fraction("clear_fraction", self.clear_fraction)
         check_positive("feature_dim", self.feature_dim)
@@ -159,6 +175,16 @@ def _sample_labels(config: GeneratorConfig, rng: np.random.Generator) -> np.ndar
     for c in range(k):
         if not (labels == c).any():
             labels[rng.integers(config.num_nodes)] = c
+    # The loop above may overwrite a class's only member.  Each class it
+    # left empty takes a node from a class with members to spare; when it
+    # left none empty, these are the labels it drew.
+    counts = np.bincount(labels, minlength=k)
+    for c in np.flatnonzero(counts == 0).tolist():
+        spare = np.flatnonzero(counts[labels] > 1)
+        node = int(spare[rng.integers(len(spare))])
+        counts[labels[node]] -= 1
+        counts[c] += 1
+        labels[node] = c
     return labels.astype(np.int64)
 
 
@@ -194,7 +220,7 @@ def _sample_edges(
         u = rng.choice(n, size=batch, p=global_p)
         same_class = rng.random(batch) < config.homophily
         to_sibling = (~same_class) & (rng.random(batch) < config.sibling_confusion)
-        v = np.empty(batch, dtype=np.int64)
+        v = np.full(batch, -1, dtype=np.int64)
         # Partners grouped by target class for vectorized choice.
         for c, (pool, pool_p) in class_pools.items():
             mask = (same_class & (labels[u] == c)) | (to_sibling & (siblings[labels[u]] == c))
@@ -205,6 +231,8 @@ def _sample_edges(
         cnt = int(cross.sum())
         if cnt:
             v[cross] = rng.choice(n, size=cnt, p=global_p)
+        if (v < 0).any():
+            raise ValueError("an edge endpoint's partner class has no nodes")
         for a, b in zip(u.tolist(), v.tolist()):
             if a == b:
                 continue
@@ -272,29 +300,29 @@ def _sample_clarity(config: GeneratorConfig, rng: np.random.Generator) -> np.nda
     return clarity
 
 
-def _inject_link_tokens(
+def _link_words(
     config: GeneratorConfig,
     edges: np.ndarray,
-    texts: list,
     vocabulary: ClassVocabulary,
     seed: int,
-) -> list:
-    """Append a unique shared rare term to both endpoints of some edges.
+    first_id: int,
+) -> tuple[list[str], dict[int, list[int]]]:
+    """Draw a unique shared rare term for both endpoints of some edges.
 
     The term never collides with class or background vocabulary, so node
     classification is unaffected; only pairwise text comparison can see it.
+    Returns the terms in the order made, and each node's terms (appended to
+    its abstract) as ids: the ``j``-th term made has id ``first_id + j``.
     """
-    from repro.text.corpus import NodeText
-    from repro.text.vocabulary import WordFactory
-
     if config.link_token_rate == 0.0 or config.link_tokens_per_node_cap == 0:
-        return texts
+        return [], {}
     rng = spawn_rng(seed, "link-tokens", config.name)
     factory = WordFactory(int(rng.integers(1 << 62)), min_syllables=4, max_syllables=5)
     known = set(vocabulary.background_words)
     for words in vocabulary.class_words:
         known.update(words)
-    extras: dict[int, list[str]] = {}
+    made: list[str] = []
+    links: dict[int, list[int]] = {}
     counts = np.zeros(config.num_nodes, dtype=np.int64)
     cap = config.link_tokens_per_node_cap
     order = rng.permutation(edges.shape[0])
@@ -308,18 +336,12 @@ def _inject_link_tokens(
         word = factory.make_word()
         while word in known:
             word = factory.make_word()
-        extras.setdefault(u, []).append(word)
-        extras.setdefault(v, []).append(word)
+        links.setdefault(u, []).append(first_id + len(made))
+        links.setdefault(v, []).append(first_id + len(made))
+        made.append(word)
         counts[u] += 1
         counts[v] += 1
-    out = []
-    for i, text in enumerate(texts):
-        added = extras.get(i)
-        if added:
-            out.append(NodeText(title=text.title, abstract=f"{text.abstract} {' '.join(added)}"))
-        else:
-            out.append(text)
-    return out
+    return made, links
 
 
 def _make_encoder(config: GeneratorConfig):
@@ -332,12 +354,56 @@ def _make_encoder(config: GeneratorConfig):
     return HashingEncoder(dim=config.feature_dim)
 
 
+def _node_texts(
+    config: GeneratorConfig,
+    labels: np.ndarray,
+    clarity: np.ndarray,
+    edges: np.ndarray,
+    vocabulary: ClassVocabulary,
+    seed: int,
+) -> tuple[list[NodeText], WordIdCorpus]:
+    """Every node's text, and the same texts as the encoder's word ids.
+
+    The link terms extend the synthesizer's word table.  Each node's drawn
+    title and abstract indices, then its link terms' ids, go straight into
+    the corpus as the node is made: they are exactly the words of its
+    ``NodeText.full``, in order, so no text is split into words.
+    """
+    text_rng = spawn_rng(seed, "texts", config.name)
+    synthesizer = TextSynthesizer(
+        vocabulary,
+        title_words=config.title_words,
+        abstract_words=config.abstract_words,
+    )
+    link_words, node_links = _link_words(
+        config, edges, vocabulary, seed, first_id=len(synthesizer.words)
+    )
+    corpus = WordIdCorpus(synthesizer.words + link_words)
+    table = np.array(corpus.words, dtype=object)
+    siblings = sibling_map(len(config.class_names))
+    use_sibling = text_rng.random(config.num_nodes) < config.sibling_confusion
+    texts = []
+    for i in range(config.num_nodes):
+        title, abstract = synthesizer.draw(
+            int(labels[i]),
+            float(clarity[i]),
+            text_rng,
+            title_clarity_shift=config.title_clarity_shift,
+            confuser=int(siblings[labels[i]]) if use_sibling[i] else None,
+        )
+        links = node_links.get(i)
+        if links:
+            abstract = np.concatenate((abstract, links))
+        corpus.add(title, abstract)
+        texts.append(NodeText(title=join_words(table, title), abstract=join_words(table, abstract)))
+    return texts, corpus
+
+
 def generate_tag(config: GeneratorConfig, seed: int = 0) -> GeneratedTag:
     """Generate a synthetic TAG from ``config``, fully determined by ``seed``."""
     label_rng = spawn_rng(seed, "labels", config.name)
     edge_rng = spawn_rng(seed, "edges", config.name)
     clarity_rng = spawn_rng(seed, "clarity", config.name)
-    text_rng = spawn_rng(seed, "texts", config.name)
 
     labels = _sample_labels(config, label_rng)
     edges = _sample_edges(config, labels, edge_rng)
@@ -349,28 +415,8 @@ def generate_tag(config: GeneratorConfig, seed: int = 0) -> GeneratedTag:
         words_per_class=config.words_per_class,
         background_size=config.background_words,
     )
-    synthesizer = TextSynthesizer(
-        vocabulary,
-        title_words=config.title_words,
-        abstract_words=config.abstract_words,
-    )
-    siblings = sibling_map(len(config.class_names))
-    use_sibling = text_rng.random(config.num_nodes) < config.sibling_confusion
-    texts = [
-        synthesizer.synthesize(
-            int(labels[i]),
-            float(clarity[i]),
-            text_rng,
-            title_clarity_shift=config.title_clarity_shift,
-            confuser=int(siblings[labels[i]]) if use_sibling[i] else None,
-        )
-        for i in range(config.num_nodes)
-    ]
-
-    texts = _inject_link_tokens(config, edges, texts, vocabulary, seed)
-
-    encoder = _make_encoder(config)
-    features = encoder.fit_transform(t.full for t in texts)
+    texts, corpus = _node_texts(config, labels, clarity, edges, vocabulary, seed)
+    features = _make_encoder(config).fit_transform(corpus)
 
     graph = TextAttributedGraph.from_edges(
         num_nodes=config.num_nodes,

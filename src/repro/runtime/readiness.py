@@ -327,16 +327,22 @@ class _PlannedQuery:
 
 @dataclass
 class _RoundPlan:
-    """One determined round: canonical member order plus its worker pool."""
+    """One determined round: canonical member order plus its worker pool.
+
+    ``unarrived`` counts the members whose outcome has not arrived; the
+    round is finalized when it reaches zero.
+    """
 
     wave_index: int
     members: list[_PlannedQuery]
     pool: ThreadPoolExecutor | None
     num_batches: int
     by_node: dict[int, _PlannedQuery] = field(default_factory=dict)
+    unarrived: int = field(init=False, default=0)
 
     def __post_init__(self):
         self.by_node = {m.node: m for m in self.members}
+        self.unarrived = sum(not m.arrived for m in self.members)
 
 
 class _PipelinedBoostRun:
@@ -394,6 +400,12 @@ class _PipelinedBoostRun:
     @property
     def dag(self) -> ReadinessDAG | None:
         return getattr(self.scheduler, "dag", None)
+
+    def _arrive(self, item: _PlannedQuery) -> None:
+        """``item``'s outcome (a worker's, or its replayed record) is in."""
+        item.arrived = True
+        if self.current is not None and item.node in self.current.by_node:
+            self.current.unarrived -= 1
 
     def _note_label(self, item: _PlannedQuery) -> None:
         """A member's planner label state is now known: unblock dependents."""
@@ -480,7 +492,7 @@ class _PipelinedBoostRun:
         )
 
     def _settle_cached(self, item: _PlannedQuery) -> None:
-        item.arrived = True
+        self._arrive(item)
         item.label_known = True
         item.settled_at = self._now()
         record = item.cached
@@ -620,7 +632,7 @@ class _PipelinedBoostRun:
 
     def _settle(self, item: _PlannedQuery) -> None:
         item.outcome = item.future.result()
-        item.arrived = True
+        self._arrive(item)
         kind, payload, _elapsed = item.outcome
         if kind == "ok":
             response = payload[0]
@@ -739,16 +751,19 @@ class _PipelinedBoostRun:
                 if self.current is None:
                     self._determine_round()
                     self._try_eager()
-                if self._by_future:
-                    done = [completed.get()]
-                    while not completed.empty():
-                        done.append(completed.get_nowait())
-                    for future in done:
-                        self._settle(self._by_future.pop(future))
-                    self._try_eager()
-                if all(item.arrived for item in self.current.members):
+                if self.current.unarrived == 0:
+                    # Finalized before waiting on anything: the last member
+                    # may have been a replay while eager work is in flight.
                     plan, self.current = self.current, None
                     self._finalize_round(plan)
+                    continue
+                # An unarrived member's future is outstanding.
+                done = [completed.get()]
+                while not completed.empty():
+                    done.append(completed.get_nowait())
+                for future in done:
+                    self._settle(self._by_future.pop(future))
+                self._try_eager()
         finally:
             for pool in self._pools:
                 pool.shutdown(wait=True, cancel_futures=True)

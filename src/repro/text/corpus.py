@@ -13,11 +13,15 @@ Each node's text is a mixture of three word sources:
 Titles are short and denser in keywords than abstracts, matching how the
 paper's prompt templates use neighbor *titles* as cheap-but-informative cues.
 
-A text is built from the index arrays its random draws produce: the own,
-confuser and background draws index one flat word table, the index array
-is shuffled, and the words are looked up once.  This draws the same numbers
-in the same order as building and shuffling a per-slot word list, so every
-replica's texts stay byte for byte what they were.
+A text is drawn as an index array into one flat word table
+(:attr:`TextSynthesizer.words`): the own, confuser and background draws
+index the table and the index array is shuffled.  This draws the same
+numbers in the same order as building and shuffling a per-slot word list,
+so every replica's texts stay byte for byte what they were.  The replica
+generator keeps those indices as its encoder's word ids
+(:class:`repro.text.encoders.WordIdCorpus`), so the features are counted
+without splitting any text into words, and looks the words up once to build
+each node's :class:`NodeText`.
 """
 
 from __future__ import annotations
@@ -81,12 +85,13 @@ class TextSynthesizer:
         self.title_keyword_density = title_keyword_density
         self.abstract_keyword_density = abstract_keyword_density
         #: Every class's keywords, then the background words, in one table;
-        #: class ``k``'s keywords are ``_words[_class_starts[k]:_class_starts[k + 1]]``
-        #: and the background starts at ``_class_starts[-1]``.
-        self._words = np.array(
-            [w for words in vocabulary.class_words for w in words] + vocabulary.background_words,
-            dtype=object,
-        )
+        #: class ``k``'s keywords are ``words[_class_starts[k]:_class_starts[k + 1]]``
+        #: and the background starts at ``_class_starts[-1]``.  :meth:`draw`
+        #: returns indices into it.
+        self.words: list[str] = [
+            w for words in vocabulary.class_words for w in words
+        ] + vocabulary.background_words
+        self._table = np.array(self.words, dtype=object)
         sizes = [len(words) for words in vocabulary.class_words]
         self._class_starts = np.cumsum([0] + sizes).tolist()
 
@@ -98,20 +103,21 @@ class TextSynthesizer:
         rng: np.random.Generator,
         length: int,
         keyword_density: float,
-    ) -> str:
-        """One text of ``length`` words: keyword slots (own class w.p.
-        ``clarity``, else ``confuser``) and background filler, shuffled."""
+    ) -> np.ndarray:
+        """Word-table indices of one text of ``length`` words: keyword slots
+        (own class w.p. ``clarity``, else ``confuser``) and background
+        filler, shuffled."""
         n_keywords = max(1, int(round(length * keyword_density)))
         n_background = max(0, length - n_keywords)
         starts = self._class_starts
         own_mask = rng.random(n_keywords) < clarity
         own_idx = rng.integers(starts[label + 1] - starts[label], size=n_keywords)
         other_idx = rng.integers(starts[confuser + 1] - starts[confuser], size=n_keywords)
-        bg_idx = rng.integers(len(self._words) - starts[-1], size=n_background)
+        bg_idx = rng.integers(len(self.words) - starts[-1], size=n_background)
         keywords = np.where(own_mask, own_idx + starts[label], other_idx + starts[confuser])
         slots = np.concatenate((keywords, bg_idx + starts[-1]))
         rng.shuffle(slots)
-        return " ".join(self._words[slots].tolist())
+        return slots
 
     def synthesize(
         self,
@@ -122,7 +128,24 @@ class TextSynthesizer:
         title_clarity_shift: float = 0.0,
         confuser: int | None = None,
     ) -> NodeText:
-        """Generate one node's text.
+        """Generate one node's text; the arguments are :meth:`draw`'s."""
+        title, abstract = self.draw(
+            label, clarity, rng, length_jitter, title_clarity_shift, confuser
+        )
+        return NodeText(
+            title=join_words(self._table, title), abstract=join_words(self._table, abstract)
+        )
+
+    def draw(
+        self,
+        label: int,
+        clarity: float,
+        rng: np.random.Generator,
+        length_jitter: float = 0.2,
+        title_clarity_shift: float = 0.0,
+        confuser: int | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw one node's title and abstract as indices into :attr:`words`.
 
         Parameters
         ----------
@@ -173,4 +196,9 @@ class TextSynthesizer:
         abstract = self._compose(
             label, confuser, clarity, rng, jittered(self.abstract_words), self.abstract_keyword_density
         )
-        return NodeText(title=title, abstract=abstract)
+        return title, abstract
+
+
+def join_words(table: np.ndarray, ids: np.ndarray) -> str:
+    """The text of the words ``table[ids]`` (an object array), space-separated."""
+    return " ".join(table[ids].tolist())

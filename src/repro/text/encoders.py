@@ -6,17 +6,18 @@ encoder maps documents to a dense ``(n_docs, dim)`` float32 matrix, which
 feeds both the surrogate MLP classifier of the token-pruning strategy and the
 similarity ranking of the SNS neighbor selector.
 
-The fitted encoders (BoW, TF-IDF, LSA) tokenize each document exactly once.
-:class:`_WordIds` maps every word to a provisional integer id (first-seen
-order) and keeps only the ids, in one compact ``array`` per
-:data:`_CHUNK_DOCS` documents: two bytes a word while the corpus has at most
-65,536 distinct words.  Word lists would cost a pointer a word plus the
-list, and doubled pubmed's peak RSS.  The vocabulary ranking is a bincount
-over those ids; ``fit``, ``transform`` and ``fit_transform`` then map ids to
-feature columns with one lookup array and count each chunk's rows with one
-bincount, dropping the chunk once its rows are written.  Since each document
-is read once, the documents may be any iterable: the replica generator
-streams its node texts in, so the corpus's strings never all exist at once.
+Every encoder counts one :class:`WordIdCorpus`: word ids into one word
+table, in one compact ``array`` per :data:`_CHUNK_DOCS` documents, two bytes
+a word while the table has at most 65,536 words.  Word lists would cost a
+pointer a word plus the list, and doubled pubmed's peak RSS.  The replica
+generator hands the encoder the word-table indices its synthesizer drew, so
+a replica build splits no text into words; ``fit``, ``transform`` and
+``fit_transform`` on strings split each document once into the same kind of
+corpus, so both inputs share one counting core.  The vocabulary ranking is a
+bincount over the ids; the encoders then map ids to feature columns with one
+lookup array and count each chunk's rows with one bincount, dropping the
+chunk once its rows are written.  Since each document is read once, string
+documents may be any iterable.
 """
 
 from __future__ import annotations
@@ -41,43 +42,71 @@ _CHUNK_DOCS = 64
 _SHORT_IDS = 1 << 16
 
 
-class _WordIds:
-    """One corpus, split into words once and held as provisional word ids.
+class WordIdCorpus:
+    """One corpus held as word ids into one word table.
 
-    ``words[i]`` is the word with provisional id ``i``, in first-seen order.
-    ``chunks`` holds one ``(lengths, ids)`` pair per :data:`_CHUNK_DOCS`
-    documents: each document's word count, and the ids of those words in
-    order.  :func:`_chunk_counts` consumes the chunks.
+    ``words[i]`` is the word with id ``i``.  ``chunks`` holds one
+    ``(lengths, ids)`` pair per :data:`_CHUNK_DOCS` documents: each
+    document's word count, and the ids of those words in order.  The
+    replica generator builds a corpus over its synthesizer's word table and
+    adds each node's drawn indices with :meth:`add`, so no replica text is
+    split into words; :meth:`from_documents` splits strings into one, numbering
+    words in first-seen order.  Encoding consumes the chunks, so a corpus is
+    encoded once.  Words of the table that no document uses never enter a
+    fitted vocabulary.
     """
 
-    def __init__(self, documents: Iterable[str]):
+    def __init__(self, words: list[str]):
+        self.words = words
+        self.n_docs = 0
+        self.chunks: deque[tuple[array, array]] = deque()
+
+    def _open(self, bound: int) -> tuple[array, array]:
+        """The chunk arrays for one more document, whose ids are below ``bound``."""
+        if self.n_docs % _CHUNK_DOCS == 0:
+            self.chunks.append((array("i"), array("H")))
+        lengths, ids = self.chunks[-1]
+        if ids.typecode == "H" and bound > _SHORT_IDS:
+            ids = array("i", ids)
+            self.chunks[-1] = (lengths, ids)
+        self.n_docs += 1
+        return lengths, ids
+
+    def add(self, *parts: np.ndarray) -> None:
+        """Append one document: its word ids, in order, split over ``parts``.
+
+        Every id must be below ``len(self.words)``.
+        """
+        lengths, ids = self._open(len(self.words))
+        lengths.append(sum(map(len, parts)))
+        dtype = _ID_DTYPES[ids.typecode]
+        for part in parts:
+            ids.frombytes(np.asarray(part, dtype=dtype).tobytes())
+
+    @classmethod
+    def from_documents(cls, documents: Iterable[str]) -> "WordIdCorpus":
+        """Split each of ``documents`` into words once and number the words."""
         word_ids: defaultdict[str, int] = defaultdict()
         word_ids.default_factory = word_ids.__len__
         id_of = word_ids.__getitem__
-        self.n_docs = 0
-        self.chunks: deque[tuple[array, array]] = deque()
+        corpus = cls([])
         for doc in documents:
-            if self.n_docs % _CHUNK_DOCS == 0:
-                lengths, ids = array("i"), array("H")
-                self.chunks.append((lengths, ids))
             doc_words = words(doc)
-            if ids.typecode == "H" and len(word_ids) + len(doc_words) > _SHORT_IDS:
-                ids = array("i", ids)
-                self.chunks[-1] = (lengths, ids)
+            lengths, ids = corpus._open(len(word_ids) + len(doc_words))
             lengths.append(len(doc_words))
             ids.extend(map(id_of, doc_words))
-            self.n_docs += 1
-        self.words = list(word_ids)
+        corpus.words = list(word_ids)
+        return corpus
 
     def totals(self) -> np.ndarray:
-        """Occurrences of each provisional id across the corpus."""
+        """Occurrences of each id across the corpus."""
         totals = np.zeros(len(self.words), dtype=np.int64)
         for _, ids in self.chunks:
             totals += np.bincount(np.frombuffer(ids, dtype=ids.typecode), minlength=len(totals))
         return totals
 
     def doc_freq(self) -> np.ndarray:
-        """Number of documents each provisional id occurs in."""
+        """Number of documents each id occurs in."""
         n = len(self.words)
         doc_freq = np.zeros(n, dtype=np.int64)
         for lengths, ids in self.chunks:
@@ -86,10 +115,21 @@ class _WordIds:
         return doc_freq
 
     def columns(self, vocabulary: dict[str, int], spare: int) -> np.ndarray:
-        """Feature column of each provisional id; ``spare`` for unknown words."""
+        """Feature column of each id; ``spare`` for words outside ``vocabulary``."""
         return np.fromiter(
             map(vocabulary.get, self.words, repeat(spare)), dtype=np.intp, count=len(self.words)
         )
+
+
+#: The NumPy dtype of each id ``array`` typecode.
+_ID_DTYPES = {"H": np.uint16, "i": np.int32}
+
+
+def _corpus(documents: Iterable[str] | WordIdCorpus) -> WordIdCorpus:
+    """``documents`` as a corpus: split into words unless already one."""
+    if isinstance(documents, WordIdCorpus):
+        return documents
+    return WordIdCorpus.from_documents(documents)
 
 
 def _doc_rows(lengths: array) -> np.ndarray:
@@ -98,22 +138,24 @@ def _doc_rows(lengths: array) -> np.ndarray:
 
 
 def _fit_vocabulary(
-    corpus: _WordIds, size: int, eligible: np.ndarray | None = None
+    corpus: WordIdCorpus, size: int, eligible: np.ndarray | None = None
 ) -> tuple[list[int], dict[str, int]]:
     """The ``size`` most frequent words of ``corpus`` as its vocabulary.
 
-    Words rank by ``(-frequency, word)`` for a deterministic vocabulary;
-    only ids where ``eligible`` is true take part when it is given.  Returns
-    the ranked provisional ids and the ``word -> column`` vocabulary.
+    Words rank by ``(-frequency, word)`` for a deterministic vocabulary.
+    Only ids where ``eligible`` is true take part, by default those the
+    corpus uses: a word table may hold words no document has.  Returns the
+    ranked ids and the ``word -> column`` vocabulary.
     """
-    totals = corpus.totals().tolist()
-    candidates = range(len(totals)) if eligible is None else np.flatnonzero(eligible).tolist()
+    totals = corpus.totals()
+    candidates = np.flatnonzero(totals > 0 if eligible is None else eligible).tolist()
+    totals = totals.tolist()
     words_ = corpus.words
     ranked = sorted(candidates, key=lambda i: (-totals[i], words_[i]))[:size]
     return ranked, {words_[i]: col for col, i in enumerate(ranked)}
 
 
-def _chunk_words(corpus: _WordIds, cols: np.ndarray):
+def _chunk_words(corpus: WordIdCorpus, cols: np.ndarray):
     """Yield ``(start, n, rows, columns)`` per chunk, consuming ``corpus.chunks``.
 
     ``rows`` and ``columns`` give each word's chunk-local document and its
@@ -128,7 +170,7 @@ def _chunk_words(corpus: _WordIds, cols: np.ndarray):
         start += n
 
 
-def _chunk_counts(corpus: _WordIds, cols: np.ndarray, dim: int):
+def _chunk_counts(corpus: WordIdCorpus, cols: np.ndarray, dim: int):
     """Yield ``(start, counts)`` per chunk: its ``(n, dim)`` int64 matrix of
     vocabulary-word counts.  Words in column ``dim`` are not counted."""
     for start, n, rows, columns in _chunk_words(corpus, cols):
@@ -191,31 +233,31 @@ class BagOfWordsEncoder:
         self.binary = binary
         self.vocabulary_: dict[str, int] | None = None
 
-    def _fit(self, corpus: _WordIds) -> np.ndarray:
+    def _fit(self, corpus: WordIdCorpus) -> np.ndarray:
         """Learn the vocabulary; return ``corpus``'s id -> column lookup."""
         _, self.vocabulary_ = _fit_vocabulary(corpus, self.dim)
         return corpus.columns(self.vocabulary_, self.dim)
 
-    def _encode(self, corpus: _WordIds, cols: np.ndarray) -> np.ndarray:
+    def _encode(self, corpus: WordIdCorpus, cols: np.ndarray) -> np.ndarray:
         out = np.zeros((corpus.n_docs, self.dim), dtype=np.float32)
         for start, counts in _chunk_counts(corpus, cols, self.dim):
             out[start : start + len(counts)] = counts > 0 if self.binary else counts
         return out
 
-    def fit(self, documents: Iterable[str]) -> "BagOfWordsEncoder":
+    def fit(self, documents: Iterable[str] | WordIdCorpus) -> "BagOfWordsEncoder":
         """Learn the truncated vocabulary from ``documents``."""
-        self._fit(_WordIds(documents))
+        self._fit(_corpus(documents))
         return self
 
-    def transform(self, documents: Iterable[str]) -> np.ndarray:
+    def transform(self, documents: Iterable[str] | WordIdCorpus) -> np.ndarray:
         """Encode ``documents`` into a ``(n, dim)`` float32 matrix."""
         if self.vocabulary_ is None:
             raise RuntimeError("encoder is not fitted; call fit() first")
-        corpus = _WordIds(documents)
+        corpus = _corpus(documents)
         return self._encode(corpus, corpus.columns(self.vocabulary_, self.dim))
 
-    def fit_transform(self, documents: Iterable[str]) -> np.ndarray:
-        corpus = _WordIds(documents)
+    def fit_transform(self, documents: Iterable[str] | WordIdCorpus) -> np.ndarray:
+        corpus = _corpus(documents)
         return self._encode(corpus, self._fit(corpus))
 
 
@@ -229,12 +271,12 @@ class TfidfEncoder:
         self.vocabulary_: dict[str, int] | None = None
         self.idf_: np.ndarray | None = None
 
-    def _fit(self, corpus: _WordIds) -> np.ndarray:
+    def _fit(self, corpus: WordIdCorpus) -> np.ndarray:
         """Learn the vocabulary; return ``corpus``'s id -> column lookup."""
         _, self.vocabulary_ = _fit_vocabulary(corpus, self.dim)
         return corpus.columns(self.vocabulary_, self.dim)
 
-    def _counts(self, corpus: _WordIds, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _counts(self, corpus: WordIdCorpus, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raw vocabulary-word counts of ``corpus`` and each column's document
         frequency, taken from the rows as they are written."""
         out = np.zeros((corpus.n_docs, self.dim), dtype=np.float32)
@@ -252,8 +294,8 @@ class TfidfEncoder:
     def _learn_idf(self, n_docs: int, doc_freq: np.ndarray) -> None:
         self.idf_ = _idf(doc_freq[: len(self.vocabulary_)].tolist(), n_docs, self.dim, np.float32)
 
-    def fit(self, documents: Iterable[str]) -> "TfidfEncoder":
-        corpus = _WordIds(documents)
+    def fit(self, documents: Iterable[str] | WordIdCorpus) -> "TfidfEncoder":
+        corpus = _corpus(documents)
         cols = self._fit(corpus)
         doc_freq = np.zeros(self.dim, dtype=np.int64)
         for _, counts in _chunk_counts(corpus, cols, self.dim):
@@ -261,15 +303,15 @@ class TfidfEncoder:
         self._learn_idf(corpus.n_docs, doc_freq)
         return self
 
-    def transform(self, documents: Iterable[str]) -> np.ndarray:
+    def transform(self, documents: Iterable[str] | WordIdCorpus) -> np.ndarray:
         if self.vocabulary_ is None or self.idf_ is None:
             raise RuntimeError("encoder is not fitted; call fit() first")
-        corpus = _WordIds(documents)
+        corpus = _corpus(documents)
         out, _ = self._counts(corpus, corpus.columns(self.vocabulary_, self.dim))
         return self._weigh(out)
 
-    def fit_transform(self, documents: Iterable[str]) -> np.ndarray:
-        corpus = _WordIds(documents)
+    def fit_transform(self, documents: Iterable[str] | WordIdCorpus) -> np.ndarray:
+        corpus = _corpus(documents)
         out, doc_freq = self._counts(corpus, self._fit(corpus))
         self._learn_idf(corpus.n_docs, doc_freq)
         return self._weigh(out)
@@ -314,7 +356,7 @@ class LSAEncoder:
     def _tfidf_sparse(self, documents: Iterable[str], fitting: bool):
         import scipy.sparse as sp
 
-        corpus = _WordIds(documents)
+        corpus = _corpus(documents)
         if fitting:
             doc_freq = corpus.doc_freq()
             ranked, self.vocabulary_ = _fit_vocabulary(
@@ -340,7 +382,7 @@ class LSAEncoder:
         norms[norms == 0] = 1.0
         return sp.diags(1.0 / norms) @ matrix
 
-    def fit_transform(self, documents: Iterable[str]) -> np.ndarray:
+    def fit_transform(self, documents: Iterable[str] | WordIdCorpus) -> np.ndarray:
         matrix = self._tfidf_sparse(documents, fitting=True)
         if not self.vocabulary_:
             raise ValueError(
@@ -367,11 +409,11 @@ class LSAEncoder:
             out = np.pad(out, ((0, 0), (0, self.dim - out.shape[1])))
         return out
 
-    def fit(self, documents: Iterable[str]) -> "LSAEncoder":
+    def fit(self, documents: Iterable[str] | WordIdCorpus) -> "LSAEncoder":
         self.fit_transform(documents)
         return self
 
-    def transform(self, documents: Iterable[str]) -> np.ndarray:
+    def transform(self, documents: Iterable[str] | WordIdCorpus) -> np.ndarray:
         if self.components_ is None:
             raise RuntimeError("encoder is not fitted; call fit() first")
         matrix = self._tfidf_sparse(documents, fitting=False)
@@ -400,19 +442,28 @@ class HashingEncoder:
         h = stable_hash(self.seed, word)
         return h % self.dim, 1.0 if (h >> 32) & 1 else -1.0
 
-    def transform(self, documents: Iterable[str]) -> np.ndarray:
-        documents = list(documents)
-        out = np.zeros((len(documents), self.dim), dtype=np.float32)
-        for row, doc in enumerate(documents):
-            for word in words(doc):
-                col, sign = self._bucket(word)
-                out[row, col] += sign
+    def transform(self, documents: Iterable[str] | WordIdCorpus) -> np.ndarray:
+        corpus = _corpus(documents)
+        dim = self.dim
+        # Each word is hashed once.  Its column is its bucket, plus ``dim``
+        # when its sign is negative, so one bincount counts a chunk's +1s
+        # and -1s apart; their difference is each cell's ±1 sum, exact in
+        # float32 as a word-by-word loop's is.
+        cols = np.zeros(len(corpus.words), dtype=np.intp)
+        for i, word in enumerate(corpus.words):
+            bucket, sign = self._bucket(word)
+            cols[i] = bucket if sign > 0 else bucket + dim
+        out = np.zeros((corpus.n_docs, dim), dtype=np.float32)
+        for start, n, rows, columns in _chunk_words(corpus, cols):
+            counts = np.bincount(rows * (2 * dim) + columns, minlength=n * 2 * dim)
+            counts = counts.reshape(n, 2 * dim)
+            out[start : start + n] = counts[:, :dim] - counts[:, dim:]
         _normalize_rows(out)
         return out
 
-    def fit(self, documents: Iterable[str]) -> "HashingEncoder":
+    def fit(self, documents: Iterable[str] | WordIdCorpus) -> "HashingEncoder":
         """No-op, for API parity with the fitted encoders."""
         return self
 
-    def fit_transform(self, documents: Iterable[str]) -> np.ndarray:
+    def fit_transform(self, documents: Iterable[str] | WordIdCorpus) -> np.ndarray:
         return self.transform(documents)

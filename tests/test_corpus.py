@@ -86,8 +86,8 @@ class TestSynthesize:
 # ---------------------------------------------------------------- oracle
 #
 # The synthesizer's earlier per-slot text building, kept verbatim as the
-# reference the index-array ``_compose`` must match: the same text and the
-# same random numbers drawn.
+# reference the index array ``_compose`` draws must match: the same text, read
+# through the synthesizer's word table, and the same random numbers drawn.
 
 
 def reference_keyword_pool(vocab, label, confuser, clarity, rng, n):
@@ -135,6 +135,7 @@ class TestComposeOracle:
         fresh, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         synth = TextSynthesizer(vocab)
         for _ in range(3):
-            text = synth._compose(label, confuser, clarity, fresh, length, density)
+            slots = synth._compose(label, confuser, clarity, fresh, length, density)
+            text = " ".join(synth.words[i] for i in slots)
             assert text == reference_compose(vocab, label, confuser, clarity, reference, length, density)
             assert fresh.bit_generator.state == reference.bit_generator.state

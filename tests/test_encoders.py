@@ -360,13 +360,14 @@ class TestBincountOracle:
             for start in range(0, 70_000, 7_000)
         ]
         docs.append("w69999 w3 w3 w69999 w69999")
-        corpus = encoders._WordIds(docs)
+        corpus = encoders.WordIdCorpus.from_documents(docs)
         assert len(corpus.words) == 70_000
         assert [ids.typecode for _, ids in corpus.chunks] == ["i"]
         vocabulary, idf = reference_fit(docs, 16)
         _same_matrix(TfidfEncoder(dim=16).fit_transform(docs), reference_tfidf_transform(vocabulary, idf, docs, 16))
         with chunked(4, 1 << 16):
-            assert [ids.typecode for _, ids in encoders._WordIds(docs).chunks] == ["H"] * 2 + ["i"]
+            corpus = encoders.WordIdCorpus.from_documents(docs)
+            assert [ids.typecode for _, ids in corpus.chunks] == ["H"] * 2 + ["i"]
             enc = BagOfWordsEncoder(dim=16, binary=False)
             _same_matrix(enc.fit_transform(docs), reference_bow_transform(vocabulary, docs, 16, False))
 
@@ -374,7 +375,7 @@ class TestBincountOracle:
     def test_ids_widen_exactly_past_two_bytes(self, distinct, typecode):
         """65,536 distinct words fill ``"H"``; one more widens the chunk."""
         docs = [" ".join(f"w{i}" for i in range(65_535)), " ".join(f"w{i}" for i in range(65_535, distinct))]
-        corpus = encoders._WordIds(docs)
+        corpus = encoders.WordIdCorpus.from_documents(docs)
         assert len(corpus.words) == distinct
         assert [ids.typecode for _, ids in corpus.chunks] == [typecode]
         vocabulary, _ = reference_fit(docs, 8)

@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.graph.generators import GeneratorConfig, generate_tag, sibling_map
+from repro.graph.datasets import DATASET_SPECS
+from repro.graph.generators import (
+    GeneratorConfig,
+    _sample_edges,
+    _sample_labels,
+    generate_tag,
+    sibling_map,
+)
 from repro.graph.homophily import edge_homophily
+from repro.utils.rng import spawn_rng
 
 
 class TestSiblingMap:
@@ -39,6 +49,10 @@ class TestGeneratorConfig:
                 num_edges=10,
                 ambiguous_clarity=(0.7, 0.4),
             )
+
+    def test_rejects_fewer_nodes_than_classes(self):
+        with pytest.raises(ValueError, match="number of classes"):
+            GeneratorConfig(class_names=("a", "b", "c"), num_nodes=2, num_edges=1)
 
     def test_rejects_unknown_encoder(self):
         with pytest.raises(ValueError, match="encoder"):
@@ -105,3 +119,62 @@ class TestGenerateTag:
         for u, v in cross:
             lu, lv = int(g.labels[u]), int(g.labels[v])
             assert sib[lu] == lv or sib[lv] == lu
+
+
+def reference_sample_labels(config, rng):
+    """The label draw before empty classes were repaired: its "guarantee"
+    loop may overwrite the only member of a class it already filled."""
+    k = len(config.class_names)
+    priors = rng.dirichlet(np.full(k, 8.0))
+    labels = rng.choice(k, size=config.num_nodes, p=priors)
+    for c in range(k):
+        if not (labels == c).any():
+            labels[rng.integers(config.num_nodes)] = c
+    return labels.astype(np.int64)
+
+
+class TestEveryClassPopulated:
+    @pytest.mark.parametrize("scale, seed", [(0.001, 43), (0.0005, 44)])
+    def test_arxiv_draws_that_emptied_a_class_now_generate(self, scale, seed):
+        """These draws left one of arXiv's 40 classes empty; the replica
+        then failed with an out-of-bounds edge endpoint."""
+        config = DATASET_SPECS["ogbn-arxiv"].generator_config(scale)
+        labels = _sample_labels(config, spawn_rng(seed, "labels", config.name))
+        assert np.bincount(labels, minlength=40).min() >= 1
+        graph = generate_tag(config, seed=seed).graph
+        assert np.bincount(graph.labels, minlength=40).min() >= 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 12),
+        extra=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_keeps_the_draws_when_every_class_was_filled(self, k, extra, seed):
+        config = GeneratorConfig(
+            class_names=tuple(f"c{i}" for i in range(k)), num_nodes=k + extra, num_edges=1
+        )
+        fixed = _sample_labels(config, np.random.default_rng(seed))
+        reference = reference_sample_labels(config, np.random.default_rng(seed))
+        assert np.bincount(fixed, minlength=k).min() >= 1
+        if np.bincount(reference, minlength=k).min() >= 1:
+            assert np.array_equal(fixed, reference)
+        else:
+            # Only the nodes moved into the empty classes change.
+            moved = fixed != reference
+            empty = np.flatnonzero(np.bincount(reference, minlength=k) == 0)
+            assert sorted(fixed[moved].tolist()) == sorted(empty.tolist())
+
+    def test_a_partner_in_an_empty_class_raises(self):
+        """No pool writes a partner routed to an empty sibling class."""
+        config = GeneratorConfig(
+            class_names=("a", "b", "c", "d"),
+            num_nodes=40,
+            num_edges=60,
+            homophily=0.0,
+            sibling_confusion=1.0,
+        )
+        labels = np.zeros(40, dtype=np.int64)  # class 1, 0's sibling, is empty
+        labels[20:] = 2
+        with pytest.raises(ValueError, match="partner class has no nodes"):
+            _sample_edges(config, labels, np.random.default_rng(0))

@@ -11,6 +11,7 @@ the caller and take every worker thread down with it.
 
 from __future__ import annotations
 
+import queue
 import threading
 from unittest import mock
 
@@ -185,3 +186,91 @@ def test_each_answer_is_parsed_once(tiny_tag, tiny_split, tiny_builder):
     assert len(records) == len(tiny_split.queries)
     assert at_settle.call_count + at_merge.call_count == len(records)
     assert at_settle.call_count > 0
+
+
+class _Replay:
+    """A checkpointer stand-in: earlier records to replay, nothing written."""
+
+    def __init__(self, executed):
+        self.executed = executed
+
+    def append(self, record):
+        pass
+
+    def record_pseudo(self, node, label):
+        pass
+
+    def mark_complete(self):
+        pass
+
+
+class _WatchedQueue:
+    """The planner's completion queue, asserting the round is incomplete
+    whenever the planner blocks on it."""
+
+    def __init__(self, run):
+        self.run = run
+        self.inner = queue.SimpleQueue()
+
+    def put(self, future):
+        self.inner.put(future)
+
+    def get(self):
+        members = self.run.current.members
+        assert not all(m.arrived for m in members), "waited on a complete round"
+        return self.inner.get()
+
+    def get_nowait(self):
+        return self.inner.get_nowait()
+
+    def empty(self):
+        return self.inner.empty()
+
+
+def test_a_round_is_finalized_when_its_last_member_arrives(tiny_tag, tiny_split, tiny_builder):
+    """Replaying every other round makes whole rounds of replays whose next
+    round is dispatched eagerly: finalizing such a round must not wait for
+    the next round's answers."""
+    queries = np.asarray(tiny_split.queries)
+    strategy = QueryBoostingStrategy(gamma1=1, use_conflict_threshold=False)
+
+    def engine(scheduler=None):
+        llm = SimulatedLLM(tiny_tag.vocabulary, name="gpt-3.5", seed=5)
+        return _engine_on(
+            tiny_tag, tiny_split, tiny_builder, llm, KHopRandomSelector(1), scheduler
+        )
+
+    serial = strategy.execute(engine(), queries)
+    replayed_rounds = {node for nodes in serial.rounds[::2] for node in nodes}
+    executed = {r.node: r for r in serial.run.records if r.node in replayed_rounds}
+
+    finalized: list[tuple[bool, bool]] = []  # (all replays, eager work in flight)
+    run_original = _PipelinedBoostRun.run
+    arrive = _PipelinedBoostRun._arrive
+    finalize = _PipelinedBoostRun._finalize_round
+
+    def watched_run(run):
+        run._completed = _WatchedQueue(run)
+        return run_original(run)
+
+    def counted_arrive(run, item):
+        arrive(run, item)
+        if run.current is not None:
+            members = run.current.members
+            assert run.current.unarrived == sum(not m.arrived for m in members)
+
+    def checked_finalize(run, plan):
+        assert all(m.arrived for m in plan.members)
+        finalized.append((all(m.cached is not None for m in plan.members), bool(run._by_future)))
+        finalize(run, plan)
+
+    scheduler = QueryScheduler(
+        max_batch_size=4, max_concurrency=3, mode="threads", dispatch="dag"
+    )
+    with mock.patch.object(_PipelinedBoostRun, "run", watched_run), mock.patch.object(
+        _PipelinedBoostRun, "_arrive", counted_arrive
+    ), mock.patch.object(_PipelinedBoostRun, "_finalize_round", checked_finalize):
+        resumed = strategy.execute(engine(scheduler), queries, checkpointer=_Replay(executed))
+    assert resumed.run.records == serial.run.records
+    assert len(finalized) == len(resumed.rounds)
+    assert (True, True) in finalized, "no replayed round ended with eager work in flight"
