@@ -65,10 +65,12 @@ test-mqo:
 # The replica build, bit for bit: the encoders against their two-pass
 # oracles and the recorded replica digests, LSA, text synthesis and word
 # making against their per-slot references, the generator, and the word-id
-# path against the string path.
+# path against the string path, for the features and for the node texts the
+# graph keeps as word ids.
 test-replicas:
 	pytest tests/test_encoders.py tests/test_lsa_encoder.py tests/test_corpus.py \
-		tests/test_vocabulary.py tests/test_generators.py tests/test_replica_word_ids.py
+		tests/test_vocabulary.py tests/test_generators.py tests/test_replica_word_ids.py \
+		tests/test_replica_texts.py
 
 test-output:
 	set -o pipefail; pytest tests/ 2>&1 | tee test_output.txt

@@ -294,7 +294,7 @@ class LinkPredictionTask:
             # enrichment adds context into free slots rather than displacing
             # the existing neighbor links at random.
             nbrs = nbrs[: self.max_context_neighbors]
-            titles = tuple(self.graph.texts[int(v)].title for v in nbrs)
+            titles = tuple(self.graph.title(int(v)) for v in nbrs)
         return LinkEndpoint(title=text.title, abstract=text.abstract, neighbor_titles=titles)
 
     def _execute(

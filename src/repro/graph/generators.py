@@ -14,7 +14,10 @@ otherwise.
 Node texts are drawn as indices into the synthesizer's word table, extended
 by the rare terms that linked nodes share.  Those indices are also the
 encoder's word ids (:class:`repro.text.encoders.WordIdCorpus`): the features
-are counted from them, and no text is split into words during a build.
+are counted from them, and no text is split into words during a build.  The
+graph keeps the same corpus as its texts
+(:class:`repro.text.corpus.WordIdTexts`), so no text is joined into a string
+during a build either: a node's words are joined when the node is read.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.tag import TextAttributedGraph
-from repro.text.corpus import NodeText, TextSynthesizer, join_words
+from repro.text.corpus import TextSynthesizer, WordIdTexts
 from repro.text.encoders import (
     BagOfWordsEncoder,
     HashingEncoder,
@@ -361,13 +364,14 @@ def _node_texts(
     edges: np.ndarray,
     vocabulary: ClassVocabulary,
     seed: int,
-) -> tuple[list[NodeText], WordIdCorpus]:
-    """Every node's text, and the same texts as the encoder's word ids.
+) -> WordIdTexts:
+    """Every node's text, held as the encoder's word ids.
 
     The link terms extend the synthesizer's word table.  Each node's drawn
-    title and abstract indices, then its link terms' ids, go straight into
-    the corpus as the node is made: they are exactly the words of its
-    ``NodeText.full``, in order, so no text is split into words.
+    title indices, and its abstract indices followed by its link terms' ids,
+    go straight into the corpus as the node is made: they are exactly the
+    words of its title and abstract, in order, so no text is split into
+    words or joined from them.
     """
     text_rng = spawn_rng(seed, "texts", config.name)
     synthesizer = TextSynthesizer(
@@ -379,10 +383,8 @@ def _node_texts(
         config, edges, vocabulary, seed, first_id=len(synthesizer.words)
     )
     corpus = WordIdCorpus(synthesizer.words + link_words)
-    table = np.array(corpus.words, dtype=object)
     siblings = sibling_map(len(config.class_names))
     use_sibling = text_rng.random(config.num_nodes) < config.sibling_confusion
-    texts = []
     for i in range(config.num_nodes):
         title, abstract = synthesizer.draw(
             int(labels[i]),
@@ -395,8 +397,7 @@ def _node_texts(
         if links:
             abstract = np.concatenate((abstract, links))
         corpus.add(title, abstract)
-        texts.append(NodeText(title=join_words(table, title), abstract=join_words(table, abstract)))
-    return texts, corpus
+    return WordIdTexts(corpus)
 
 
 def generate_tag(config: GeneratorConfig, seed: int = 0) -> GeneratedTag:
@@ -415,8 +416,8 @@ def generate_tag(config: GeneratorConfig, seed: int = 0) -> GeneratedTag:
         words_per_class=config.words_per_class,
         background_size=config.background_words,
     )
-    texts, corpus = _node_texts(config, labels, clarity, edges, vocabulary, seed)
-    features = _make_encoder(config).fit_transform(corpus)
+    texts = _node_texts(config, labels, clarity, edges, vocabulary, seed)
+    features = _make_encoder(config).fit_transform(texts.corpus)
 
     graph = TextAttributedGraph.from_edges(
         num_nodes=config.num_nodes,

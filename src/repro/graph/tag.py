@@ -4,15 +4,19 @@ A TAG is ``G = (V, E, T, X)`` (paper Sec. III-A): nodes, undirected edges,
 per-node text attributes, and per-node input features encoded from the text.
 Adjacency is stored in CSR form (``indptr``/``indices``) for O(1) neighbor
 slicing, which the k-hop samplers and the boosting scheduler rely on heavily.
+The texts are any sequence of :class:`NodeText`: a generated replica keeps
+them as word ids (:class:`repro.text.corpus.WordIdTexts`) and decodes a node
+when it is read, and :meth:`TextAttributedGraph.title` decodes a title alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.text.corpus import NodeText
+from repro.text.corpus import NodeText, WordIdTexts
 
 
 @dataclass
@@ -28,7 +32,9 @@ class TextAttributedGraph:
     labels:
         ``(n,)`` int array of ground-truth class indices.
     texts:
-        Per-node :class:`NodeText` (title + abstract).
+        Per-node :class:`NodeText` (title + abstract), as any sequence:
+        a list for hand-built graphs, :class:`~repro.text.corpus.WordIdTexts`
+        (word ids, decoded per read) for generated replicas.
     features:
         ``(n, d)`` float32 features encoded from the text.
     class_names:
@@ -40,7 +46,7 @@ class TextAttributedGraph:
     indptr: np.ndarray
     indices: np.ndarray
     labels: np.ndarray
-    texts: list[NodeText]
+    texts: Sequence[NodeText]
     features: np.ndarray
     class_names: list[str]
     name: str = "tag"
@@ -96,6 +102,12 @@ class TextAttributedGraph:
             return self._degree
         return int(self._degree[node])
 
+    def title(self, node: int) -> str:
+        """Title of ``node``; word-id texts decode the title alone."""
+        if isinstance(self.texts, WordIdTexts):
+            return self.texts.title(node)
+        return self.texts[node].title
+
     def label_name(self, node: int) -> str:
         """Class name of ``node``'s ground-truth label."""
         return self.class_names[int(self.labels[node])]
@@ -139,15 +151,16 @@ class TextAttributedGraph:
         num_nodes: int,
         edges: np.ndarray,
         labels: np.ndarray,
-        texts: list[NodeText],
+        texts: Sequence[NodeText],
         features: np.ndarray,
         class_names: list[str],
         name: str = "tag",
     ) -> "TextAttributedGraph":
         """Build from an ``(m, 2)`` array of unique undirected edges.
 
-        Self-loops and duplicate edges must already be removed; each edge is
-        symmetrized into the CSR structure with sorted neighbor lists.
+        Self-loops and repeated edges (``(u, v)`` twice, or ``(u, v)`` and
+        ``(v, u)``) raise ``ValueError``; each edge is symmetrized into the
+        CSR structure with sorted neighbor lists.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and ((edges < 0).any() or (edges >= num_nodes).any()):
@@ -157,6 +170,10 @@ class TextAttributedGraph:
         both = np.concatenate([edges, edges[:, ::-1]], axis=0)
         order = np.lexsort((both[:, 1], both[:, 0]))
         both = both[order]
+        repeated = np.flatnonzero((both[1:] == both[:-1]).all(axis=1))
+        if repeated.size:
+            u, v = both[repeated[0]].tolist()
+            raise ValueError(f"edge ({u}, {v}) appears more than once")
         counts = np.bincount(both[:, 0], minlength=num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

@@ -27,9 +27,12 @@ compresses to the same bytes in the serve gate's cost estimate, the
 engine's execution, and a crash/resume replay.  A compressor therefore
 memoises its results per instance, keyed by ``(prompt, target_tokens)``:
 the gate's previews, the prefix planner and execution compress each
-distinct prompt once.  Token counts come from the compressor's own
+distinct prompt once.  Token counts come from one
 :class:`~repro.text.tokenizer.Tokenizer`, which has no settings, so the
 budget a compressor meets is counted exactly as the LLM bills the prompt.
+A compressor owns one until an engine hands it its LLM's
+(:meth:`PromptCompressor.count_with`), so a prompt the compressor counts and
+the LLM bills is tokenized once.
 """
 
 from __future__ import annotations
@@ -147,8 +150,9 @@ class CompressionResult:
 class PromptCompressor:
     """Drop low-relevance neighbor blocks until a prompt meets a budget.
 
-    Prompts and blocks are counted by one tokenizer (the analyzer's), so
-    its count memo and the result memo both live as long as the compressor.
+    Prompts and blocks are counted by one tokenizer (the analyzer's); an
+    engine replaces it with its LLM's (:meth:`count_with`), so that prompts
+    share one count memo.  The result memo lives as long as the compressor.
 
     Parameters
     ----------
@@ -192,6 +196,14 @@ class PromptCompressor:
         self._compress_memo = lru_cache(maxsize=_COMPRESS_MEMO_SIZE)(
             self._compress_uncached
         )
+
+    def count_with(self, tokenizer: Tokenizer) -> None:
+        """Count prompts and blocks with ``tokenizer`` from now on.
+
+        Every :class:`Tokenizer` counts alike, so results, memoised or not,
+        are unchanged; only the owner of the count memo changes.
+        """
+        self.tokenizer = self.analyzer.tokenizer = tokenizer
 
     def budget_for(self, original_tokens: int, target_tokens: int | None = None) -> int:
         """Resolve the token budget for a prompt of ``original_tokens``."""

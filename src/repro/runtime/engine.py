@@ -98,7 +98,9 @@ class MultiQueryEngine:
         neighbor prompt to the compressor's token budget before the LLM
         call; records that actually shrank are stamped ``compressed=True``
         with outcome ``degraded_compressed``.  ``None`` makes every compress request a
-        no-op passthrough of the full prompt.
+        no-op passthrough of the full prompt.  The engine makes the
+        compressor count with ``llm``'s tokenizer, so a prompt both count is
+        tokenized once.
     """
 
     def __init__(
@@ -135,6 +137,8 @@ class MultiQueryEngine:
         self.scheduler = scheduler
         self.router = router
         self.compressor = compressor
+        if compressor is not None:
+            compressor.count_with(llm.tokenizer)
         self._labels: dict[int, int] = {
             int(v): int(graph.labels[int(v)]) for v in np.asarray(labeled, dtype=np.int64)
         }
@@ -263,14 +267,20 @@ class MultiQueryEngine:
         return self.selector.select(self.graph, node, labels, self.max_neighbors, rng)
 
     def _entries(self, selected: list[SelectedNeighbor]) -> list[NeighborEntry]:
+        """Neighbor blocks; a block without its abstract decodes only the title."""
+        graph = self.graph
         entries = []
         for sn in selected:
-            text = self.graph.texts[sn.node]
+            if self.include_neighbor_abstracts:
+                text = graph.texts[sn.node]
+                title, abstract = text.title, text.abstract
+            else:
+                title, abstract = graph.title(sn.node), None
             entries.append(
                 NeighborEntry(
-                    title=text.title,
-                    abstract=text.abstract if self.include_neighbor_abstracts else None,
-                    label_name=self.graph.class_names[sn.label] if sn.label is not None else None,
+                    title=title,
+                    abstract=abstract,
+                    label_name=graph.class_names[sn.label] if sn.label is not None else None,
                 )
             )
         return entries

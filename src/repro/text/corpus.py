@@ -20,17 +20,28 @@ numbers in the same order as building and shuffling a per-slot word list,
 so every replica's texts stay byte for byte what they were.  The replica
 generator keeps those indices as its encoder's word ids
 (:class:`repro.text.encoders.WordIdCorpus`), so the features are counted
-without splitting any text into words, and looks the words up once to build
-each node's :class:`NodeText`.
+without splitting any text into words.  The graph then keeps the same corpus
+as its node text: :class:`WordIdTexts` is a sequence of :class:`NodeText`
+that joins a node's words only when the node is read, and a title-only read
+joins only the title.  Nothing is memoised, so a read costs one join of the
+words read and the store stays one copy of the ids.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.text.vocabulary import ClassVocabulary
+
+if TYPE_CHECKING:
+    from array import array
+
+    from repro.text.encoders import WordIdCorpus
 
 
 @dataclass(frozen=True)
@@ -43,6 +54,50 @@ class NodeText:
     @property
     def full(self) -> str:
         return f"{self.title}. {self.abstract}"
+
+
+class WordIdTexts(Sequence[NodeText]):
+    """Every node's text, held as the word ids of one corpus.
+
+    Document ``i`` of ``corpus`` (added with its title and abstract apart,
+    :meth:`WordIdCorpus.add`) is node ``i``'s text.  ``texts[i]`` joins its
+    words into a :class:`NodeText` equal to the one the words would have
+    made as strings; :meth:`title` joins the title only.  Equal to any
+    sequence of equal :class:`NodeText`.
+    """
+
+    def __init__(self, corpus: "WordIdCorpus"):
+        self.corpus = corpus
+
+    def __len__(self) -> int:
+        return self.corpus.n_docs
+
+    def _join(self, ids: "array", start: int, end: int) -> str:
+        return " ".join(map(self.corpus.words.__getitem__, ids[start:end]))
+
+    def _span(self, index: int) -> tuple["array", int, int, int]:
+        index, n = operator.index(index), len(self)
+        if not -n <= index < n:
+            raise IndexError(f"node {index} out of range for {n} texts")
+        return self.corpus.span(index % n)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        ids, start, split, end = self._span(index)
+        return NodeText(title=self._join(ids, start, split), abstract=self._join(ids, split, end))
+
+    def title(self, index: int) -> str:
+        """Node ``index``'s title, its abstract left as ids."""
+        ids, start, split, _ = self._span(index)
+        return self._join(ids, start, split)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 class TextSynthesizer:

@@ -15,15 +15,18 @@ a replica build splits no text into words; ``fit``, ``transform`` and
 ``fit_transform`` on strings split each document once into the same kind of
 corpus, so both inputs share one counting core.  The vocabulary ranking is a
 bincount over the ids; the encoders then map ids to feature columns with one
-lookup array and count each chunk's rows with one bincount, dropping the
-chunk once its rows are written.  Since each document is read once, string
-documents may be any iterable.
+lookup array and count each chunk's rows with one bincount.  Encoding reads
+the chunks without consuming them: the replica graph keeps the corpus it
+counted as its node text, one copy of the ids (strings of every text cost
+six to seven times their ids).  Since each string document is read once,
+string documents may be any iterable.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
-from collections import defaultdict, deque
+from collections import defaultdict
 from itertools import repeat
 from typing import Iterable
 
@@ -49,39 +52,62 @@ class WordIdCorpus:
     ``(lengths, ids)`` pair per :data:`_CHUNK_DOCS` documents: each
     document's word count, and the ids of those words in order.  The
     replica generator builds a corpus over its synthesizer's word table and
-    adds each node's drawn indices with :meth:`add`, so no replica text is
-    split into words; :meth:`from_documents` splits strings into one, numbering
-    words in first-seen order.  Encoding consumes the chunks, so a corpus is
-    encoded once.  Words of the table that no document uses never enter a
-    fitted vocabulary.
+    adds each node's drawn title and abstract indices with :meth:`add`, so
+    no replica text is split into words; :meth:`from_documents` splits
+    strings into one, numbering words in first-seen order.  Encoders read
+    the chunks without consuming them, so a replica graph keeps the corpus
+    its features were counted from as its node text
+    (:class:`repro.text.corpus.WordIdTexts`), and :meth:`span` finds one
+    document's title and abstract ids in it.  Words of the table that no
+    document uses never enter a fitted vocabulary.
     """
 
     def __init__(self, words: list[str]):
         self.words = words
         self.n_docs = 0
-        self.chunks: deque[tuple[array, array]] = deque()
+        self.chunks: list[tuple[array, array]] = []
+        self._chunk_docs = _CHUNK_DOCS
+        # Per document: where its ids start in its chunk's ids, and how many
+        # of them are its title (none for split strings).
+        self._starts = array("i")
+        self._title_lengths = array("i")
 
-    def _open(self, bound: int) -> tuple[array, array]:
+    def _open(self, bound: int, title_length: int = 0) -> tuple[array, array]:
         """The chunk arrays for one more document, whose ids are below ``bound``."""
-        if self.n_docs % _CHUNK_DOCS == 0:
+        if self.n_docs % self._chunk_docs == 0:
             self.chunks.append((array("i"), array("H")))
         lengths, ids = self.chunks[-1]
         if ids.typecode == "H" and bound > _SHORT_IDS:
             ids = array("i", ids)
             self.chunks[-1] = (lengths, ids)
+        self._starts.append(len(ids))
+        self._title_lengths.append(title_length)
         self.n_docs += 1
         return lengths, ids
 
-    def add(self, *parts: np.ndarray) -> None:
-        """Append one document: its word ids, in order, split over ``parts``.
+    def add(self, title: np.ndarray, abstract: np.ndarray) -> None:
+        """Append one document: its title's word ids, then its abstract's.
 
         Every id must be below ``len(self.words)``.
         """
-        lengths, ids = self._open(len(self.words))
-        lengths.append(sum(map(len, parts)))
+        lengths, ids = self._open(len(self.words), len(title))
+        lengths.append(len(title) + len(abstract))
         dtype = _ID_DTYPES[ids.typecode]
-        for part in parts:
+        for part in (title, abstract):
             ids.frombytes(np.asarray(part, dtype=dtype).tobytes())
+
+    def span(self, doc: int) -> tuple[array, int, int, int]:
+        """Document ``doc``'s chunk ids, and the offsets in them where its
+        title starts, its abstract starts and the document ends."""
+        lengths, ids = self.chunks[doc // self._chunk_docs]
+        start = self._starts[doc]
+        return ids, start, start + self._title_lengths[doc], start + lengths[doc % self._chunk_docs]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes allocated to the ids and the per-document counts and offsets."""
+        arrays = [a for chunk in self.chunks for a in chunk] + [self._starts, self._title_lengths]
+        return sum(map(sys.getsizeof, arrays))
 
     @classmethod
     def from_documents(cls, documents: Iterable[str]) -> "WordIdCorpus":
@@ -156,15 +182,13 @@ def _fit_vocabulary(
 
 
 def _chunk_words(corpus: WordIdCorpus, cols: np.ndarray):
-    """Yield ``(start, n, rows, columns)`` per chunk, consuming ``corpus.chunks``.
+    """Yield ``(start, n, rows, columns)`` per chunk of ``corpus``.
 
     ``rows`` and ``columns`` give each word's chunk-local document and its
-    feature column under the lookup ``cols``.  Each chunk is dropped once
-    read, so the ids held shrink as rows are written.
+    feature column under the lookup ``cols``.
     """
     start = 0
-    while corpus.chunks:
-        lengths, ids = corpus.chunks.popleft()
+    for lengths, ids in corpus.chunks:
         n = len(lengths)
         yield start, n, _doc_rows(lengths), cols[np.frombuffer(ids, dtype=ids.typecode)]
         start += n

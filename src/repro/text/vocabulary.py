@@ -117,12 +117,13 @@ class ClassVocabulary:
         Returns a ``(num_classes,)`` float vector of raw keyword counts; this
         is the "semantic comprehension" primitive the simulated LLM builds on.
         """
-        counts = np.zeros(self.num_classes, dtype=float)
+        counts = [0] * self.num_classes
+        word_class = self._word_class
         for w in words:
-            k = self._word_class.get(w)
+            k = word_class.get(w)
             if k is not None:
-                counts[k] += 1.0
-        return counts
+                counts[k] += 1
+        return np.array(counts, dtype=float)
 
     @classmethod
     def build(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,13 @@ class TestExtendGraph:
             extend_graph(tiny_graph, [NodeText("t", "a")], np.array([99]), np.empty((0, 2)))
         with pytest.raises(ValueError, match="at least one new node"):
             extend_graph(tiny_graph, [NodeText("t", "a")], np.array([0]), np.array([(0, 1)]))
+
+    def test_repeated_new_edge_rejected(self, tiny_graph):
+        """``(n, 0)`` and ``(0, n)`` are one undirected edge: listing both
+        would count it twice and put each endpoint in the other's list twice."""
+        n = tiny_graph.num_nodes
+        with pytest.raises(ValueError, match=re.escape(f"edge (0, {n}) appears more than once")):
+            extend_graph(tiny_graph, [NodeText("a", "b")], [0], [[n, 0], [0, n], [n, 1]])
+        extended = extend_graph(tiny_graph, [NodeText("a", "b")], [0], [[n, 0], [n, 1]])
+        assert extended.num_edges == tiny_graph.num_edges + 2
+        assert extended.neighbors(n).tolist() == [0, 1]

@@ -83,11 +83,12 @@ def build(config, vocabulary, seed):
     labels = _sample_labels(config, spawn_rng(seed, "labels"))
     edges = _sample_edges(config, labels, spawn_rng(seed, "edges"))
     clarity = _sample_clarity(config, spawn_rng(seed, "clarity"))
-    return _node_texts(config, labels, clarity, edges, vocabulary, seed)
+    texts = _node_texts(config, labels, clarity, edges, vocabulary, seed)
+    return texts, texts.corpus
 
 
 def doc_ids(corpus: WordIdCorpus) -> list[list[int]]:
-    """Each document's ids, read without consuming the corpus."""
+    """Each document's ids, read from the chunks."""
     out = []
     for lengths, ids in corpus.chunks:
         ids = ids.tolist()

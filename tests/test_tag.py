@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,15 @@ class TestFromEdges:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             make_graph(3, [(0, 5)])
+
+    @pytest.mark.parametrize(
+        "edges, repeated",
+        [([(0, 1), (0, 1)], "(0, 1)"), ([(2, 1), (0, 2), (1, 2)], "(1, 2)"), ([(3, 0), (0, 3)], "(0, 3)")],
+    )
+    def test_rejects_repeated_edge(self, edges, repeated):
+        """Either orientation of an edge counts: ``(u, v)`` and ``(v, u)`` repeat."""
+        with pytest.raises(ValueError, match=re.escape(f"edge {repeated} appears more than once")):
+            make_graph(4, edges)
 
     def test_empty_graph(self):
         g = make_graph(2, np.empty((0, 2)))
