@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -42,6 +43,12 @@ if TYPE_CHECKING:
 
     from repro.io.runs import RunCheckpointer
     from repro.obs.hooks import RunObserver
+
+#: Node texts one engine keeps decoded.  A replica holds its texts as word
+#: ids and joins a text on every read; a serve pass renders a request's
+#: prompt for its admission gate, its wave plan and its execution, so the
+#: same target texts are read three times within a few requests.
+_TEXT_MEMO_SIZE = 256
 
 
 class MultiQueryEngine:
@@ -139,6 +146,9 @@ class MultiQueryEngine:
         self.compressor = compressor
         if compressor is not None:
             compressor.count_with(llm.tokenizer)
+        # Per engine, like the tokenizer's count memo, so no decoded text
+        # outlives the run that read it.
+        self._text = lru_cache(maxsize=_TEXT_MEMO_SIZE)(graph.texts.__getitem__)
         self._labels: dict[int, int] = {
             int(v): int(graph.labels[int(v)]) for v in np.asarray(labeled, dtype=np.int64)
         }
@@ -272,7 +282,7 @@ class MultiQueryEngine:
         entries = []
         for sn in selected:
             if self.include_neighbor_abstracts:
-                text = graph.texts[sn.node]
+                text = self._text(sn.node)
                 title, abstract = text.title, text.abstract
             else:
                 title, abstract = graph.title(sn.node), None
@@ -288,14 +298,14 @@ class MultiQueryEngine:
     def build_prompt(self, node: int, include_neighbors: bool = True) -> tuple[str, list[SelectedNeighbor]]:
         """Render the prompt for ``node`` and return the neighbors used."""
         if not include_neighbors:
-            text = self.graph.texts[int(node)]
+            text = self._text(int(node))
             return self.builder.zero_shot(text.title, text.abstract), []
         selected = self.select_neighbors(node)
         return self._render_prompt(node, selected), selected
 
     def _render_prompt(self, node: int, selected: list[SelectedNeighbor]) -> str:
         """Render the neighbor-bearing prompt from an existing selection."""
-        text = self.graph.texts[int(node)]
+        text = self._text(int(node))
         return self.builder.with_neighbors(
             text.title,
             text.abstract,
