@@ -23,8 +23,8 @@ generator keeps those indices as its encoder's word ids
 without splitting any text into words.  The graph then keeps the same corpus
 as its node text: :class:`WordIdTexts` is a sequence of :class:`NodeText`
 that joins a node's words only when the node is read, and a title-only read
-joins only the title.  Nothing is memoised, so a read costs one join of the
-words read and the store stays one copy of the ids.
+joins only the title.  The store memoises nothing, so it stays one copy of
+the ids; an engine keeps the few texts it re-reads within one run.
 """
 
 from __future__ import annotations

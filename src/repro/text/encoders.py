@@ -24,7 +24,6 @@ string documents may be any iterable.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections import defaultdict
 from itertools import repeat
@@ -66,7 +65,6 @@ class WordIdCorpus:
         self.words = words
         self.n_docs = 0
         self.chunks: list[tuple[array, array]] = []
-        self._chunk_docs = _CHUNK_DOCS
         # Per document: where its ids start in its chunk's ids, and how many
         # of them are its title (none for split strings).
         self._starts = array("i")
@@ -74,7 +72,7 @@ class WordIdCorpus:
 
     def _open(self, bound: int, title_length: int = 0) -> tuple[array, array]:
         """The chunk arrays for one more document, whose ids are below ``bound``."""
-        if self.n_docs % self._chunk_docs == 0:
+        if self.n_docs % _CHUNK_DOCS == 0:
             self.chunks.append((array("i"), array("H")))
         lengths, ids = self.chunks[-1]
         if ids.typecode == "H" and bound > _SHORT_IDS:
@@ -99,15 +97,9 @@ class WordIdCorpus:
     def span(self, doc: int) -> tuple[array, int, int, int]:
         """Document ``doc``'s chunk ids, and the offsets in them where its
         title starts, its abstract starts and the document ends."""
-        lengths, ids = self.chunks[doc // self._chunk_docs]
+        lengths, ids = self.chunks[doc // _CHUNK_DOCS]
         start = self._starts[doc]
-        return ids, start, start + self._title_lengths[doc], start + lengths[doc % self._chunk_docs]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes allocated to the ids and the per-document counts and offsets."""
-        arrays = [a for chunk in self.chunks for a in chunk] + [self._starts, self._title_lengths]
-        return sum(map(sys.getsizeof, arrays))
+        return ids, start, start + self._title_lengths[doc], start + lengths[doc % _CHUNK_DOCS]
 
     @classmethod
     def from_documents(cls, documents: Iterable[str]) -> "WordIdCorpus":
